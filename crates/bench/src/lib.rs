@@ -8,7 +8,6 @@
 //! `EXPERIMENTS.md`.
 
 pub mod cli;
-pub mod hw;
 pub mod table;
 pub mod testbed;
 

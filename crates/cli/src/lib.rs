@@ -45,10 +45,9 @@
 //! slow queries, read-only flips) is served by `/stats` instead.
 //!
 //! `collection-search` also exposes the parallel read path:
-//! `--threads N` fans each query's segment scans over `N` workers, and
-//! `--batch` switches to the batch engine (`search_many`), which
-//! distributes whole queries over the workers with per-(query, segment)
-//! seeded RNGs — results are bit-identical for every `--threads` value.
+//! `--threads N` (N > 1) switches to the batch engine (`search_many`),
+//! which distributes whole queries over `N` workers with per-(query,
+//! segment) seeded RNGs — results are bit-identical for every such `N`.
 //!
 //! The library surface (`run`) is process-free so the whole pipeline is
 //! exercised by integration tests.
@@ -136,7 +135,7 @@ pub fn usage() -> String {
          \x20 verify             read-only scrub: checksum every segment,\n\
          \x20                    scan the WAL, list quarantined/orphan files\n\
          \x20 collection-search  query a collection (memtable + segments);\n\
-         \x20                    --threads N / --batch for parallel reads\n\
+         \x20                    --threads N for parallel (batch) reads\n\
          \x20 serve              HTTP front end over a collection (JSON API,\n\
          \x20                    batched searches, admission control);\n\
          \x20                    --slow-query-ms N journals searches >= N ms\n\
@@ -154,7 +153,7 @@ pub fn usage() -> String {
 }
 
 /// Flags that are switches: present or absent, no value token.
-const BOOLEAN_FLAGS: &[&str] = &["hadamard", "seal", "batch"];
+const BOOLEAN_FLAGS: &[&str] = &["hadamard", "seal"];
 
 /// Parsed `--key value` flags.
 struct Flags {
@@ -665,14 +664,12 @@ fn cmd_collection_search(flags: &Flags) -> Result<(), String> {
     let nprobe = flags.usize_or("nprobe", 64)?;
     let seed = flags.u64_or("seed", 1)?;
     let threads = flags.usize_or("threads", 1)?;
-    let batch = flags.flag_present("batch");
     let nq = queries.len() / qdim;
 
-    let opts = ParallelOptions { threads, seed };
     let mut sw = Stopwatch::new();
     let mut all_ids: Vec<i32> = Vec::with_capacity(nq * k);
     let mut per_query_ids: Vec<Vec<u32>> = Vec::with_capacity(nq);
-    // One place turns a result into the padded id row, so the three
+    // One place turns a result into the padded id row, so the two
     // execution modes can never diverge in output format.
     let mut record = |res: rabitq_ivf::SearchResult| {
         let mut ids: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
@@ -681,24 +678,15 @@ fn cmd_collection_search(flags: &Flags) -> Result<(), String> {
         per_query_ids.push(ids);
     };
     let mode;
-    if batch {
+    if threads > 1 {
         // Batch engine: one search_many call over the whole query file,
         // queries distributed across the worker pool.
         mode = format!("batch x{threads}");
         sw.start();
+        let opts = ParallelOptions { threads, seed };
         let results = collection.search_many(&queries, k, nprobe, opts);
         sw.stop();
         results.into_iter().for_each(&mut record);
-    } else if threads > 1 {
-        // Per-query latency mode: segments scanned in parallel.
-        mode = format!("segment-parallel x{threads}");
-        let snapshot = collection.snapshot();
-        for q in queries.chunks_exact(qdim) {
-            sw.start();
-            let res = snapshot.search_parallel(q, k, nprobe, opts);
-            sw.stop();
-            record(res);
-        }
     } else {
         mode = "serial".to_string();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1177,7 +1165,7 @@ mod tests {
         // Same seed, different worker counts: the batch engine must emit
         // bit-identical neighbor files.
         let mut outputs = Vec::new();
-        for threads in ["1", "4"] {
+        for threads in ["2", "4"] {
             let out = dir.join(format!("res-{threads}.ivecs"));
             run(&args(&[
                 "collection-search",
@@ -1189,7 +1177,6 @@ mod tests {
                 "10",
                 "--nprobe",
                 "32",
-                "--batch",
                 "--threads",
                 threads,
                 "--out",

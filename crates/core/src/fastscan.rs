@@ -421,7 +421,8 @@ pub mod raw {
     ///
     /// The automatic pick prefers **AVX2 over AVX-512** when both run.
     /// The 512-bit kernel wins pure-throughput microbenches
-    /// (`kernel_bench` records both), but search interleaves short scan
+    /// (the perf ledger's `core.fastscan_codes_per_s` under each forced
+    /// kernel), but search interleaves short scan
     /// bursts with scalar/float estimator work, and on many parts each
     /// 512-bit burst downclocks the surrounding pipeline — measured here
     /// as a net end-to-end QPS loss. Hosts where AVX-512 wins end to end

@@ -406,46 +406,52 @@ impl IvfRabitq {
 
         let mut n_estimated = 0usize;
         let mut n_reranked = 0usize;
+        let epsilon0 = match strategy {
+            RerankStrategy::ErrorBoundWithEpsilon(e) => e,
+            _ => self.quantizer.config().epsilon0,
+        };
+        scratch.top.reset(k);
+        scratch.pool.clear();
 
-        match strategy {
-            RerankStrategy::ErrorBound | RerankStrategy::ErrorBoundWithEpsilon(_) => {
-                let epsilon0 = match strategy {
-                    RerankStrategy::ErrorBoundWithEpsilon(e) => e,
-                    _ => self.quantizer.config().epsilon0,
-                };
-                scratch.top.reset(k);
-                for pi in 0..scratch.probes.len() {
-                    if cancel.is_cancelled() {
-                        scratch.neighbors.clear();
-                        return None;
-                    }
-                    let c = scratch.probes[pi].0;
-                    let bucket = &self.buckets[c];
-                    if bucket.ids.is_empty() {
-                        continue;
-                    }
-                    let rc = &self.rotated_centroids[c * padded..(c + 1) * padded];
-                    self.quantizer.prepare_query_prerotated_into(
-                        &scratch.rotated_query,
-                        rc,
-                        &mut scratch.query,
-                        rng,
-                    );
-                    t = lap(&mut scratch.stages, Stage::LutBuild, t);
-                    self.quantizer.estimate_batch_with_lut(
-                        scratch.query.query(),
-                        scratch.query.lut(),
-                        &bucket.packed,
-                        &bucket.codes,
-                        epsilon0,
-                        &mut scratch.estimates,
-                    );
+        // Algorithm 2, once: probe a bucket, quantize the query against
+        // its centroid, estimate every code; the strategy only decides
+        // what happens to the estimates.
+        for pi in 0..scratch.probes.len() {
+            if cancel.is_cancelled() {
+                scratch.neighbors.clear();
+                return None;
+            }
+            let c = scratch.probes[pi].0;
+            let bucket = &self.buckets[c];
+            if bucket.ids.is_empty() {
+                continue;
+            }
+            let rc = &self.rotated_centroids[c * padded..(c + 1) * padded];
+            self.quantizer.prepare_query_prerotated_into(
+                &scratch.rotated_query,
+                rc,
+                &mut scratch.query,
+                rng,
+            );
+            t = lap(&mut scratch.stages, Stage::LutBuild, t);
+            self.quantizer.estimate_batch_with_lut(
+                scratch.query.query(),
+                scratch.query.lut(),
+                &bucket.packed,
+                &bucket.codes,
+                epsilon0,
+                &mut scratch.estimates,
+            );
+            n_estimated += scratch.estimates.len();
+            let live = scratch
+                .estimates
+                .iter()
+                .zip(bucket.ids.iter())
+                .filter(|&(_, &id)| !self.is_deleted(id));
+            match strategy {
+                RerankStrategy::ErrorBound | RerankStrategy::ErrorBoundWithEpsilon(_) => {
                     t = lap(&mut scratch.stages, Stage::Scan, t);
-                    n_estimated += scratch.estimates.len();
-                    for (est, &id) in scratch.estimates.iter().zip(bucket.ids.iter()) {
-                        if self.is_deleted(id) {
-                            continue;
-                        }
+                    for (est, &id) in live {
                         // The paper's rule: drop iff lower bound exceeds the
                         // current K-th best exact distance.
                         if est.lower_bound < scratch.top.threshold() {
@@ -456,99 +462,34 @@ impl IvfRabitq {
                     }
                     t = lap(&mut scratch.stages, Stage::Rerank, t);
                 }
-            }
-            RerankStrategy::TopCandidates(rerank_n) => {
-                scratch.pool.clear();
-                for pi in 0..scratch.probes.len() {
-                    if cancel.is_cancelled() {
-                        scratch.neighbors.clear();
-                        return None;
-                    }
-                    let c = scratch.probes[pi].0;
-                    let bucket = &self.buckets[c];
-                    if bucket.ids.is_empty() {
-                        continue;
-                    }
-                    let rc = &self.rotated_centroids[c * padded..(c + 1) * padded];
-                    self.quantizer.prepare_query_prerotated_into(
-                        &scratch.rotated_query,
-                        rc,
-                        &mut scratch.query,
-                        rng,
-                    );
-                    t = lap(&mut scratch.stages, Stage::LutBuild, t);
-                    self.quantizer.estimate_batch_with_lut(
-                        scratch.query.query(),
-                        scratch.query.lut(),
-                        &bucket.packed,
-                        &bucket.codes,
-                        self.quantizer.config().epsilon0,
-                        &mut scratch.estimates,
-                    );
-                    n_estimated += scratch.estimates.len();
-                    scratch.pool.extend(
-                        scratch
-                            .estimates
-                            .iter()
-                            .zip(bucket.ids.iter())
-                            .filter(|&(_, &id)| !self.is_deleted(id))
-                            .map(|(est, &id)| (id, est.dist_sq)),
-                    );
-                    t = lap(&mut scratch.stages, Stage::Scan, t);
-                }
-                let take = rerank_n.max(k).min(scratch.pool.len());
-                if take > 0 {
+                RerankStrategy::TopCandidates(_) => {
                     scratch
                         .pool
-                        .select_nth_unstable_by(take - 1, |a, b| a.1.total_cmp(&b.1));
-                    scratch.pool.truncate(take);
+                        .extend(live.map(|(est, &id)| (id, est.dist_sq)));
+                    t = lap(&mut scratch.stages, Stage::Scan, t);
                 }
-                scratch.top.reset(k);
-                for pi in 0..scratch.pool.len() {
-                    let id = scratch.pool[pi].0;
-                    let exact = self.exact_distance(id, query);
-                    n_reranked += 1;
-                    scratch.top.push(id, exact);
-                }
-                t = lap(&mut scratch.stages, Stage::Rerank, t);
-            }
-            RerankStrategy::None => {
-                scratch.top.reset(k);
-                for pi in 0..scratch.probes.len() {
-                    if cancel.is_cancelled() {
-                        scratch.neighbors.clear();
-                        return None;
-                    }
-                    let c = scratch.probes[pi].0;
-                    let bucket = &self.buckets[c];
-                    if bucket.ids.is_empty() {
-                        continue;
-                    }
-                    let rc = &self.rotated_centroids[c * padded..(c + 1) * padded];
-                    self.quantizer.prepare_query_prerotated_into(
-                        &scratch.rotated_query,
-                        rc,
-                        &mut scratch.query,
-                        rng,
-                    );
-                    t = lap(&mut scratch.stages, Stage::LutBuild, t);
-                    self.quantizer.estimate_batch_with_lut(
-                        scratch.query.query(),
-                        scratch.query.lut(),
-                        &bucket.packed,
-                        &bucket.codes,
-                        self.quantizer.config().epsilon0,
-                        &mut scratch.estimates,
-                    );
-                    n_estimated += scratch.estimates.len();
-                    for (est, &id) in scratch.estimates.iter().zip(bucket.ids.iter()) {
-                        if !self.is_deleted(id) {
-                            scratch.top.push(id, est.dist_sq);
-                        }
+                RerankStrategy::None => {
+                    for (est, &id) in live {
+                        scratch.top.push(id, est.dist_sq);
                     }
                     t = lap(&mut scratch.stages, Stage::Scan, t);
                 }
             }
+        }
+        if let RerankStrategy::TopCandidates(rerank_n) = strategy {
+            let take = rerank_n.max(k).min(scratch.pool.len());
+            if take > 0 {
+                scratch
+                    .pool
+                    .select_nth_unstable_by(take - 1, |a, b| a.1.total_cmp(&b.1));
+                scratch.pool.truncate(take);
+            }
+            for &(id, _) in &scratch.pool {
+                let exact = self.exact_distance(id, query);
+                n_reranked += 1;
+                scratch.top.push(id, exact);
+            }
+            t = lap(&mut scratch.stages, Stage::Rerank, t);
         }
         scratch.top.drain_sorted_into(&mut scratch.neighbors);
         lap(&mut scratch.stages, Stage::Merge, t);
@@ -744,6 +685,14 @@ mod tests {
         })
     }
 
+    /// Every [`RerankStrategy`] variant, for tests that must hold on each.
+    const ALL_STRATEGIES: [RerankStrategy; 4] = [
+        RerankStrategy::ErrorBound,
+        RerankStrategy::ErrorBoundWithEpsilon(1.0),
+        RerankStrategy::TopCandidates(100),
+        RerankStrategy::None,
+    ];
+
     fn build(ds: &rabitq_data::Dataset, clusters: usize) -> IvfRabitq {
         let ivf = IvfConfig::new(clusters);
         IvfRabitq::build(&ds.data, ds.dim, &ivf, RabitqConfig::default())
@@ -922,11 +871,7 @@ mod tests {
         assert!(index.remove(new_id));
         assert!(index.is_deleted(new_id));
         assert_eq!(index.n_live(), 400);
-        for strategy in [
-            RerankStrategy::ErrorBound,
-            RerankStrategy::TopCandidates(100),
-            RerankStrategy::None,
-        ] {
+        for strategy in ALL_STRATEGIES {
             let res = index.search_with(&probe, 3, 4, strategy, &mut rng);
             assert_eq!(res.neighbors.len(), 3);
             assert!(
@@ -969,11 +914,7 @@ mod tests {
         let ds = dataset(1500, 32);
         let index = build(&ds, 10);
         let mut scratch = SearchScratch::new();
-        for strategy in [
-            RerankStrategy::ErrorBound,
-            RerankStrategy::TopCandidates(200),
-            RerankStrategy::None,
-        ] {
+        for strategy in ALL_STRATEGIES {
             for qi in 0..ds.n_queries() {
                 let seed = 1000 + qi as u64;
                 let mut rng_a = StdRng::seed_from_u64(seed);
@@ -1018,11 +959,7 @@ mod tests {
         let mut scratch = SearchScratch::new();
         let token = CancelToken::new();
         token.cancel();
-        for strategy in [
-            RerankStrategy::ErrorBound,
-            RerankStrategy::TopCandidates(100),
-            RerankStrategy::None,
-        ] {
+        for strategy in ALL_STRATEGIES {
             let mut rng = StdRng::seed_from_u64(21);
             let got = index.search_into_cancellable(
                 ds.query(0),
@@ -1050,31 +987,30 @@ mod tests {
         let token = CancelToken::with_deadline(
             std::time::Instant::now() + std::time::Duration::from_secs(3600),
         );
-        for qi in 0..ds.n_queries() {
-            let seed = 3000 + qi as u64;
-            let mut rng_a = StdRng::seed_from_u64(seed);
-            let mut rng_b = StdRng::seed_from_u64(seed);
-            let plain = index.search_into(
-                ds.query(qi),
-                5,
-                8,
-                RerankStrategy::ErrorBound,
-                &mut scratch_a,
-                &mut rng_a,
-            );
-            let cancellable = index
-                .search_into_cancellable(
-                    ds.query(qi),
-                    5,
-                    8,
-                    RerankStrategy::ErrorBound,
-                    &mut scratch_b,
-                    &mut rng_b,
-                    &token,
-                )
-                .expect("far deadline never cancels");
-            assert_eq!(plain, cancellable, "query {qi}");
-            assert_eq!(scratch_a.neighbors, scratch_b.neighbors, "query {qi}");
+        for strategy in ALL_STRATEGIES {
+            for qi in 0..ds.n_queries() {
+                let seed = 3000 + qi as u64;
+                let mut rng_a = StdRng::seed_from_u64(seed);
+                let mut rng_b = StdRng::seed_from_u64(seed);
+                let plain =
+                    index.search_into(ds.query(qi), 5, 8, strategy, &mut scratch_a, &mut rng_a);
+                let cancellable = index
+                    .search_into_cancellable(
+                        ds.query(qi),
+                        5,
+                        8,
+                        strategy,
+                        &mut scratch_b,
+                        &mut rng_b,
+                        &token,
+                    )
+                    .expect("far deadline never cancels");
+                assert_eq!(plain, cancellable, "{strategy:?} query {qi}");
+                assert_eq!(
+                    scratch_a.neighbors, scratch_b.neighbors,
+                    "{strategy:?} query {qi}"
+                );
+            }
         }
     }
 

@@ -131,14 +131,18 @@ impl KMeans {
         dists
     }
 
-    /// [`KMeans::assign_top_n`] into a reused buffer (`n ≥ 1`). At steady
-    /// state — a buffer whose capacity has reached `k` — the call performs
-    /// no heap allocation; this is the probe-selection step of the
-    /// allocation-free IVF query path.
+    /// [`KMeans::assign_top_n`] into a reused buffer; `n = 0` (or a model
+    /// without centroids) leaves it empty. At steady state — a buffer
+    /// whose capacity has reached `k` — the call performs no heap
+    /// allocation; this is the probe-selection step of the allocation-free
+    /// IVF query path.
     pub fn assign_top_n_into(&self, x: &[f32], n: usize, out: &mut Vec<(usize, f32)>) {
         out.clear();
-        out.extend((0..self.k).map(|c| (c, vecs::l2_sq(self.centroid(c), x))));
         let n = n.min(self.k);
+        if n == 0 {
+            return;
+        }
+        out.extend((0..self.k).map(|c| (c, vecs::l2_sq(self.centroid(c), x))));
         out.select_nth_unstable_by(n - 1, |a, b| a.1.total_cmp(&b.1));
         out.truncate(n);
         out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
@@ -444,6 +448,7 @@ mod tests {
         assert_eq!(top.len(), 3);
         assert!(top.windows(2).all(|w| w[0].1 <= w[1].1));
         assert_eq!(top[0].0, model.assign(x).0);
+        assert!(model.assign_top_n(x, 0).is_empty());
     }
 
     #[test]

@@ -584,16 +584,20 @@ fn search(state: &ServerState, served: &ServedCollection, req: &Request) -> Resp
                 }
                 Some(d) => {
                     // With a deadline the direct path goes through the
-                    // cancellable snapshot search so an expired query
-                    // bails at the next checkpoint instead of running
-                    // the scan to completion.
-                    let token = CancelToken::with_deadline(d);
+                    // cancellable batch search (a batch of one) so an
+                    // expired query bails at the next checkpoint instead
+                    // of running the scan to completion.
+                    let token = [CancelToken::with_deadline(d)];
                     let opts = ParallelOptions {
                         threads: 1,
                         seed: state.config.batch.seed ^ seq,
                     };
-                    let snapshot = served.reader.snapshot();
-                    match snapshot.search_parallel_cancellable(&query, k, nprobe, opts, &token) {
+                    let outcome = served
+                        .reader
+                        .search_many_cancellable(&query, k, nprobe, opts, &token)
+                        .pop()
+                        .expect("one query, one outcome");
+                    match outcome {
                         SearchOutcome::Done(r) => Ok(r),
                         SearchOutcome::Cancelled => {
                             state

@@ -2,8 +2,8 @@
 //!
 //! The first cut of [`crate::Snapshot::search_many`] spawned scoped
 //! threads per call, so every batch paid thread startup — measurably flat
-//! multi-thread scaling on short batches (`speedup_mt_over_1t ≈ 1.0` in
-//! `BENCH_search.json`). This pool replaces that: worker threads are
+//! multi-thread scaling on short batches (the perf ledger's
+//! `store.mt_speedup` row). This pool replaces that: worker threads are
 //! created **once** per process (lazily, on first parallel call) and park
 //! on a condvar between jobs, so dispatching a batch costs one mutex push
 //! plus wake-ups instead of N `clone`+`spawn`+`join` cycles.

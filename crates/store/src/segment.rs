@@ -20,7 +20,7 @@
 use crate::io::{DiskIo, StorageIo};
 use rabitq_core::persist as p;
 use rabitq_core::RabitqConfig;
-use rabitq_ivf::{CancelToken, IvfConfig, IvfRabitq, RerankStrategy, SearchResult, SearchScratch};
+use rabitq_ivf::{CancelToken, IvfConfig, IvfRabitq, RerankStrategy, SearchScratch};
 use rand::Rng;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -237,26 +237,11 @@ impl Segment {
             .map(|(local, &global)| (global, self.index.vector(local as u32)))
     }
 
-    /// Searches the segment, returning **global** ids with exact
-    /// (re-ranked) distances; the inner index already skips tombstones.
-    pub fn search<R: Rng + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        rng: &mut R,
-    ) -> SearchResult {
-        let mut res = self.index.search(query, k, nprobe, rng);
-        for entry in &mut res.neighbors {
-            entry.0 = self.ids[entry.0 as usize];
-        }
-        res
-    }
-
-    /// [`Segment::search`] through a reused [`SearchScratch`]: the
-    /// allocation-free path for worker threads that scan many segments per
-    /// query. Neighbors (already remapped to **global** ids) land in
-    /// `scratch.neighbors`; the return value is `(n_estimated, n_reranked)`.
+    /// Searches the segment through a reused [`SearchScratch`] — the
+    /// allocation-free path for threads that scan many segments per
+    /// query. Neighbors land in `scratch.neighbors` as **global** ids with
+    /// exact (re-ranked) distances, ascending; the inner index already
+    /// skips tombstones. The return value is `(n_estimated, n_reranked)`.
     pub fn search_into<R: Rng + ?Sized>(
         &self,
         query: &[f32],
@@ -265,13 +250,8 @@ impl Segment {
         scratch: &mut SearchScratch,
         rng: &mut R,
     ) -> (usize, usize) {
-        let counts =
-            self.index
-                .search_into(query, k, nprobe, RerankStrategy::ErrorBound, scratch, rng);
-        for entry in &mut scratch.neighbors {
-            entry.0 = self.ids[entry.0 as usize];
-        }
-        counts
+        self.search_into_cancellable(query, k, nprobe, scratch, rng, &CancelToken::none())
+            .expect("a never-cancelling token cannot cancel")
     }
 
     /// [`Segment::search_into`] with cooperative cancellation: the token
@@ -326,15 +306,20 @@ mod tests {
         (seg, data)
     }
 
+    /// `search_into` with a throwaway scratch, returning the neighbors.
+    fn search(seg: &Segment, query: &[f32], k: usize, seed: u64) -> Vec<(u32, f32)> {
+        let mut scratch = SearchScratch::new();
+        seg.search_into(query, k, 64, &mut scratch, &mut StdRng::seed_from_u64(seed));
+        scratch.neighbors
+    }
+
     #[test]
     fn search_reports_global_ids_with_exact_distances() {
         let (seg, data) = sample_segment(200, 16);
-        let mut rng = StdRng::seed_from_u64(1);
-        let probe = &data[50 * 16..51 * 16];
-        let res = seg.search(probe, 3, 64, &mut rng);
-        assert_eq!(res.neighbors[0].0, 50 * 3 + 100);
-        assert!(res.neighbors[0].1 < 1e-6);
-        assert!(res.neighbors.windows(2).all(|w| w[0].1 <= w[1].1));
+        let neighbors = search(&seg, &data[50 * 16..51 * 16], 3, 1);
+        assert_eq!(neighbors[0].0, 50 * 3 + 100);
+        assert!(neighbors[0].1 < 1e-6);
+        assert!(neighbors.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     #[test]
@@ -352,9 +337,8 @@ mod tests {
         let restored = Segment::read(&mut buf.as_slice(), seg.name().to_string()).unwrap();
         assert_eq!(restored.n_live(), 119);
         assert!(!restored.contains_live(100));
-        let mut rng = StdRng::seed_from_u64(2);
-        let res = restored.search(&data[0..8], 5, 64, &mut rng);
-        assert!(res.neighbors.iter().all(|&(id, _)| id != 100));
+        let neighbors = search(&restored, &data[0..8], 5, 2);
+        assert!(neighbors.iter().all(|&(id, _)| id != 100));
     }
 
     #[test]
@@ -393,9 +377,8 @@ mod tests {
 
         let restored = Segment::read(&mut v1.as_slice(), "seg-legacy.rbq".into()).unwrap();
         assert_eq!(restored.len(), 80);
-        let mut rng = StdRng::seed_from_u64(3);
-        let res = restored.search(&data[0..8], 1, 64, &mut rng);
-        assert_eq!(res.neighbors[0].0, 100); // local 0 → global 100
+        let neighbors = search(&restored, &data[0..8], 1, 3);
+        assert_eq!(neighbors[0].0, 100); // local 0 → global 100
     }
 
     #[test]

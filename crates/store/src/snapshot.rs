@@ -23,18 +23,21 @@
 //! compacted-away segment lives exactly as long as the last snapshot that
 //! references it, then frees without any epoch or GC machinery.
 //!
-//! ## Parallel execution
+//! ## One query path
 //!
-//! [`Snapshot::search_many`] (batch) and [`Snapshot::search_parallel`]
-//! (single query, segment-parallel) fan work out over the process-wide
-//! persistent [`WorkerPool`] — threads are created once and parked
-//! between calls, so a batch never pays thread startup (the cost that
-//! made the first scoped-spawn implementation scale flat). Each pool
-//! thread keeps a thread-local [`SearchScratch`] that is reused across
-//! queries *and* across batches, preserving the allocation-free
-//! steady state. Both paths derive one RNG per (query, segment) task
-//! from a caller seed, so the results are **bit-identical for every
-//! thread count** — the scheduler can never change an answer.
+//! Every public search runs the same private fan-out core,
+//! `Snapshot::search_one`: scan the frozen memtable, scan the segments in
+//! order through the calling thread's thread-local [`SearchScratch`],
+//! merge in segment order. [`Snapshot::search`] feeds it the caller's RNG;
+//! [`Snapshot::search_many`] and [`Snapshot::search_many_cancellable`]
+//! feed it one RNG per (query, segment) task derived from a caller seed,
+//! and fan the *queries* out over the process-wide persistent
+//! [`WorkerPool`] — threads are created once and parked between calls, so
+//! a batch never pays thread startup. The thread-local scratch is reused
+//! across queries *and* across batches, which keeps the steady state
+//! allocation-free, and the per-task seeding makes batch results
+//! **bit-identical for every thread count** — the scheduler can never
+//! change an answer.
 
 use crate::error::HealthReport;
 use crate::error::HealthState;
@@ -91,7 +94,7 @@ impl<T> ResultSlots<T> {
     }
 }
 
-/// Thread-count and determinism knobs for the parallel search paths.
+/// Thread-count and determinism knobs for the batch search paths.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelOptions {
     /// Worker threads (clamped to the available work; `0` and `1` both
@@ -224,145 +227,11 @@ impl Snapshot {
         rng: &mut R,
     ) -> SearchResult {
         assert_eq!(query.len(), self.dim, "query dimensionality");
-        let mut top = TopK::new(k);
-        let mut stages = StageNanos::new();
-        let mut n_estimated = 0usize;
-        let mut n_reranked = 0usize;
-        if k > 0 {
-            let t0 = Instant::now();
-            n_reranked += self.memtable.scan_into(query, &mut top);
-            stages.add_ns(Stage::Rerank, ns_since(t0));
-            for segment in &self.segments {
-                let res = segment.search(query, k, nprobe, rng);
-                stages.merge(&res.stages);
-                n_estimated += res.n_estimated;
-                n_reranked += res.n_reranked;
-                for (id, dist) in res.neighbors {
-                    top.push(id, dist);
-                }
-            }
-        }
-        let t0 = Instant::now();
-        let neighbors = top.into_sorted();
-        stages.add_ns(Stage::Merge, ns_since(t0));
-        SearchResult {
-            neighbors,
-            n_estimated,
-            n_reranked,
-            stages,
-        }
-    }
-
-    /// One query, segments scanned **in parallel** by the persistent
-    /// worker pool. Per-segment results are merged in segment order on the
-    /// calling thread, so the answer is bit-identical for every
-    /// `opts.threads` (including serial).
-    pub fn search_parallel(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        opts: ParallelOptions,
-    ) -> SearchResult {
-        assert_eq!(query.len(), self.dim, "query dimensionality");
-        let n_segments = self.segments.len();
-        let threads = opts.threads.max(1).min(n_segments.max(1));
-        let mut per_segment: Vec<SearchResult> = if threads <= 1 || n_segments <= 1 {
-            (0..n_segments)
-                .map(|si| self.search_segment_seeded(si, 0, query, k, nprobe, opts.seed))
-                .collect()
-        } else {
-            let slots = ResultSlots::new(n_segments);
-            WorkerPool::global().run(n_segments, threads - 1, |si| {
-                let res = self.search_segment_seeded(si, 0, query, k, nprobe, opts.seed);
-                // SAFETY: the pool claims each `si` exactly once.
-                unsafe { slots.put(si, res) };
-            });
-            slots.into_results()
-        };
-        self.merge_per_segment(query, k, &mut per_segment)
-    }
-
-    /// [`Snapshot::search_parallel`] with cooperative cancellation: every
-    /// per-segment task (running on pool workers) polls the token at its
-    /// probed-bucket boundaries and bails individually. Returns
-    /// [`SearchOutcome::Cancelled`] if any segment scan was abandoned — a
-    /// single query is all-or-nothing. A completed query is bit-identical
-    /// to [`Snapshot::search_parallel`] with the same seed.
-    pub fn search_parallel_cancellable(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        opts: ParallelOptions,
-        cancel: &CancelToken,
-    ) -> SearchOutcome {
-        assert_eq!(query.len(), self.dim, "query dimensionality");
-        let n_segments = self.segments.len();
-        let threads = opts.threads.max(1).min(n_segments.max(1));
-        let per_segment: Vec<Option<SearchResult>> = if threads <= 1 || n_segments <= 1 {
-            (0..n_segments)
-                .map(|si| {
-                    self.search_segment_seeded_cancellable(
-                        si, 0, query, k, nprobe, opts.seed, cancel,
-                    )
-                })
-                .collect()
-        } else {
-            let slots = ResultSlots::new(n_segments);
-            WorkerPool::global().run(n_segments, threads - 1, |si| {
-                let res = self
-                    .search_segment_seeded_cancellable(si, 0, query, k, nprobe, opts.seed, cancel);
-                // SAFETY: the pool claims each `si` exactly once.
-                unsafe { slots.put(si, res) };
-            });
-            slots.into_results()
-        };
-        let mut done = Vec::with_capacity(per_segment.len());
-        for res in per_segment {
-            match res {
-                Some(res) => done.push(res),
-                None => return SearchOutcome::Cancelled,
-            }
-        }
-        SearchOutcome::Done(self.merge_per_segment(query, k, &mut done))
-    }
-
-    /// Merges per-segment results (plus the memtable scan) into one
-    /// [`SearchResult`], in segment order — the deterministic tail shared
-    /// by every parallel path.
-    fn merge_per_segment(
-        &self,
-        query: &[f32],
-        k: usize,
-        per_segment: &mut [SearchResult],
-    ) -> SearchResult {
-        let mut top = TopK::new(k);
-        let mut stages = StageNanos::new();
-        let mut n_estimated = 0usize;
-        let mut n_reranked = 0usize;
-        if k > 0 {
-            let t0 = Instant::now();
-            n_reranked += self.memtable.scan_into(query, &mut top);
-            stages.add_ns(Stage::Rerank, ns_since(t0));
-            for res in per_segment.iter() {
-                stages.merge(&res.stages);
-                n_estimated += res.n_estimated;
-                n_reranked += res.n_reranked;
-                for &(id, dist) in &res.neighbors {
-                    top.push(id, dist);
-                }
-            }
-        }
-        let t0 = Instant::now();
-        let neighbors = top.into_sorted();
-        stages.add_ns(Stage::Merge, ns_since(t0));
-        SearchResult {
-            neighbors,
-            n_estimated,
-            n_reranked,
-            stages,
-        }
+        let cancel = CancelToken::none();
+        self.search_one(query, k, &cancel, |_, segment, scratch| {
+            segment.search_into_cancellable(query, k, nprobe, scratch, rng, &cancel)
+        })
+        .expect("a never-cancelling token cannot cancel")
     }
 
     /// Batch search: `queries` is a flat `n × dim` buffer; returns one
@@ -380,35 +249,10 @@ impl Snapshot {
         nprobe: usize,
         opts: ParallelOptions,
     ) -> Vec<SearchResult> {
-        assert!(
-            queries.len().is_multiple_of(self.dim),
-            "queries buffer must be n × dim"
-        );
-        let n = queries.len() / self.dim;
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = opts.threads.max(1).min(n);
-        if threads <= 1 {
-            return SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                (0..n)
-                    .map(|qi| {
-                        self.search_one_seeded(qi, queries, k, nprobe, opts.seed, &mut scratch)
-                    })
-                    .collect()
-            });
-        }
-        let slots = ResultSlots::new(n);
-        WorkerPool::global().run(n, threads - 1, |qi| {
-            let res = SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                self.search_one_seeded(qi, queries, k, nprobe, opts.seed, &mut scratch)
-            });
-            // SAFETY: the pool claims each `qi` exactly once.
-            unsafe { slots.put(qi, res) };
-        });
-        slots.into_results()
+        self.run_batch(queries, k, nprobe, opts, None)
+            .into_iter()
+            .map(|res| res.expect("a never-cancelling token cannot cancel"))
+            .collect()
     }
 
     /// [`Snapshot::search_many`] with per-query cooperative cancellation:
@@ -426,110 +270,73 @@ impl Snapshot {
         opts: ParallelOptions,
         tokens: &[CancelToken],
     ) -> Vec<SearchOutcome> {
+        assert_eq!(
+            tokens.len(),
+            queries.len() / self.dim,
+            "one token per query"
+        );
+        self.run_batch(queries, k, nprobe, opts, Some(tokens))
+            .into_iter()
+            .map(|res| res.map_or(SearchOutcome::Cancelled, SearchOutcome::Done))
+            .collect()
+    }
+
+    /// The batch dispatch shared by [`Snapshot::search_many`] and
+    /// [`Snapshot::search_many_cancellable`]: runs the fan-out core for
+    /// every query of the flat `n × dim` buffer, each segment scan drawing
+    /// from its own RNG derived from `(opts.seed, query, segment)`, and
+    /// returns the outcomes in query order (`None` = that query's token
+    /// cancelled; without `tokens` nothing can). Inline when one thread is
+    /// asked for or there is one query, otherwise claimed dynamically by
+    /// up to `opts.threads` participants of the [`WorkerPool`].
+    fn run_batch(
+        &self,
+        queries: &[f32],
+        k: usize,
+        nprobe: usize,
+        opts: ParallelOptions,
+        tokens: Option<&[CancelToken]>,
+    ) -> Vec<Option<SearchResult>> {
         assert!(
             queries.len().is_multiple_of(self.dim),
             "queries buffer must be n × dim"
         );
         let n = queries.len() / self.dim;
-        assert_eq!(tokens.len(), n, "one token per query");
-        if n == 0 {
-            return Vec::new();
-        }
+        let never = CancelToken::none();
+        let one = |qi: usize| {
+            let query = &queries[qi * self.dim..(qi + 1) * self.dim];
+            let cancel = tokens.map_or(&never, |tokens| &tokens[qi]);
+            self.search_one(query, k, cancel, |si, segment, scratch| {
+                let mut rng = StdRng::seed_from_u64(task_seed(opts.seed, qi, si));
+                segment.search_into_cancellable(query, k, nprobe, scratch, &mut rng, cancel)
+            })
+        };
         let threads = opts.threads.max(1).min(n);
         if threads <= 1 {
-            return SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                (0..n)
-                    .map(|qi| {
-                        self.search_one_outcome(
-                            qi,
-                            queries,
-                            k,
-                            nprobe,
-                            opts.seed,
-                            &mut scratch,
-                            &tokens[qi],
-                        )
-                    })
-                    .collect()
-            });
+            return (0..n).map(one).collect();
         }
         let slots = ResultSlots::new(n);
         WorkerPool::global().run(n, threads - 1, |qi| {
-            let res = SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                self.search_one_outcome(
-                    qi,
-                    queries,
-                    k,
-                    nprobe,
-                    opts.seed,
-                    &mut scratch,
-                    &tokens[qi],
-                )
-            });
             // SAFETY: the pool claims each `qi` exactly once.
-            unsafe { slots.put(qi, res) };
+            unsafe { slots.put(qi, one(qi)) };
         });
         slots.into_results()
     }
 
-    /// Full fan-out for query `qi` with deterministic per-segment RNGs.
-    fn search_one_seeded(
+    /// The one fan-out core: memtable scan, then `scan_segment(si, segment,
+    /// scratch)` for each segment in order through this thread's
+    /// [`SearchScratch`], then the merge. `scan_segment` owns the RNG
+    /// choice (the caller's shared stream, or one per task) and returns
+    /// `None` when its token cancelled mid-scan; the token is also polled
+    /// here before the memtable scan. `None` means the query was
+    /// abandoned; nothing partial is returned.
+    fn search_one(
         &self,
-        qi: usize,
-        queries: &[f32],
+        query: &[f32],
         k: usize,
-        nprobe: usize,
-        seed: u64,
-        scratch: &mut SearchScratch,
-    ) -> SearchResult {
-        self.search_one_seeded_cancellable(
-            qi,
-            queries,
-            k,
-            nprobe,
-            seed,
-            scratch,
-            &CancelToken::none(),
-        )
-        .expect("a never-cancelling token cannot cancel")
-    }
-
-    /// [`Snapshot::search_one_seeded`] as a [`SearchOutcome`].
-    #[allow(clippy::too_many_arguments)]
-    fn search_one_outcome(
-        &self,
-        qi: usize,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        seed: u64,
-        scratch: &mut SearchScratch,
         cancel: &CancelToken,
-    ) -> SearchOutcome {
-        match self.search_one_seeded_cancellable(qi, queries, k, nprobe, seed, scratch, cancel) {
-            Some(res) => SearchOutcome::Done(res),
-            None => SearchOutcome::Cancelled,
-        }
-    }
-
-    /// The cancellable fan-out core: polls the token before the memtable
-    /// scan and (via [`Segment::search_into_cancellable`]) at every
-    /// probed-bucket boundary within each segment. `None` means the query
-    /// was abandoned; nothing partial is returned.
-    #[allow(clippy::too_many_arguments)]
-    fn search_one_seeded_cancellable(
-        &self,
-        qi: usize,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        seed: u64,
-        scratch: &mut SearchScratch,
-        cancel: &CancelToken,
+        mut scan_segment: impl FnMut(usize, &Segment, &mut SearchScratch) -> Option<(usize, usize)>,
     ) -> Option<SearchResult> {
-        let query = &queries[qi * self.dim..(qi + 1) * self.dim];
         let mut top = TopK::new(k);
         let mut stages = StageNanos::new();
         let mut n_estimated = 0usize;
@@ -541,17 +348,19 @@ impl Snapshot {
             let t0 = Instant::now();
             n_reranked += self.memtable.scan_into(query, &mut top);
             stages.add_ns(Stage::Rerank, ns_since(t0));
-            for (si, segment) in self.segments.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(task_seed(seed, qi, si));
-                let (e, r) =
-                    segment.search_into_cancellable(query, k, nprobe, scratch, &mut rng, cancel)?;
-                stages.merge(&scratch.stages);
-                n_estimated += e;
-                n_reranked += r;
-                for &(id, dist) in &scratch.neighbors {
-                    top.push(id, dist);
+            SCRATCH.with(|s| {
+                let scratch = &mut *s.borrow_mut();
+                for (si, segment) in self.segments.iter().enumerate() {
+                    let (e, r) = scan_segment(si, segment, scratch)?;
+                    stages.merge(&scratch.stages);
+                    n_estimated += e;
+                    n_reranked += r;
+                    for &(id, dist) in &scratch.neighbors {
+                        top.push(id, dist);
+                    }
                 }
-            }
+                Some(())
+            })?;
         }
         let t0 = Instant::now();
         let neighbors = top.into_sorted();
@@ -561,53 +370,6 @@ impl Snapshot {
             n_estimated,
             n_reranked,
             stages,
-        })
-    }
-
-    /// Scans one segment for query index `qi` under the derived task seed.
-    fn search_segment_seeded(
-        &self,
-        si: usize,
-        qi: usize,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        seed: u64,
-    ) -> SearchResult {
-        let mut rng = StdRng::seed_from_u64(task_seed(seed, qi, si));
-        self.segments[si].search(query, k, nprobe, &mut rng)
-    }
-
-    /// [`Snapshot::search_segment_seeded`] with cancellation checkpoints;
-    /// `None` means the token cancelled mid-scan.
-    #[allow(clippy::too_many_arguments)]
-    fn search_segment_seeded_cancellable(
-        &self,
-        si: usize,
-        qi: usize,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        seed: u64,
-        cancel: &CancelToken,
-    ) -> Option<SearchResult> {
-        let mut rng = StdRng::seed_from_u64(task_seed(seed, qi, si));
-        SCRATCH.with(|s| {
-            let mut scratch = s.borrow_mut();
-            let (n_estimated, n_reranked) = self.segments[si].search_into_cancellable(
-                query,
-                k,
-                nprobe,
-                &mut scratch,
-                &mut rng,
-                cancel,
-            )?;
-            Some(SearchResult {
-                neighbors: scratch.neighbors.clone(),
-                n_estimated,
-                n_reranked,
-                stages: scratch.stages,
-            })
         })
     }
 }

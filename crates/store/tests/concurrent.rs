@@ -156,7 +156,7 @@ fn snapshots_are_point_in_time_views() {
 }
 
 /// `search_many` must return bit-identical results for every thread
-/// count, and `search_parallel` must agree with the serial merge.
+/// count, for a full batch and for a batch of one.
 #[test]
 fn parallel_execution_is_bit_identical_to_serial() {
     let dir = tmp_dir("deterministic");
@@ -188,9 +188,9 @@ fn parallel_execution_is_bit_identical_to_serial() {
     let snapshot = collection.snapshot();
     for qi in 0..5 {
         let query = &queries[qi * dim..(qi + 1) * dim];
-        let one = snapshot.search_parallel(query, 10, 16, ParallelOptions::threaded(1));
-        let many = snapshot.search_parallel(query, 10, 16, ParallelOptions::threaded(4));
-        assert_eq!(one.neighbors, many.neighbors, "query {qi}");
+        let one = snapshot.search_many(query, 10, 16, ParallelOptions::threaded(1));
+        let many = snapshot.search_many(query, 10, 16, ParallelOptions::threaded(4));
+        assert_eq!(one[0].neighbors, many[0].neighbors, "query {qi}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

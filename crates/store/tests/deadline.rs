@@ -1,6 +1,6 @@
 //! Cooperative cancellation at the snapshot layer: per-query tokens in
-//! `search_many_cancellable`, all-or-nothing cancellation in
-//! `search_parallel_cancellable`, and the bit-identity guarantee —
+//! `search_many_cancellable`, all-or-nothing cancellation of a
+//! one-query batch, and the bit-identity guarantee —
 //! cancelling one query of a batch changes **nothing** about its
 //! batchmates' answers, at any thread count.
 
@@ -101,21 +101,28 @@ fn cancelling_one_query_leaves_batchmates_bit_identical() {
 }
 
 #[test]
-fn expired_deadline_cancels_search_parallel() {
-    let dir = test_dir("parallel");
+fn expired_deadline_cancels_a_one_query_batch() {
+    let dir = test_dir("one-query");
     let collection = populated(&dir);
     let snapshot = collection.snapshot();
     let q = queries(1);
     let opts = ParallelOptions::threaded(4);
 
-    let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-    let out = snapshot.search_parallel_cancellable(&q, 5, 64, opts, &expired);
-    assert!(out.is_cancelled());
+    let expired = [CancelToken::with_deadline(
+        Instant::now() - Duration::from_millis(1),
+    )];
+    let out = snapshot.search_many_cancellable(&q, 5, 64, opts, &expired);
+    assert!(out[0].is_cancelled());
 
     // A generous deadline completes and matches the uncancelled path.
-    let healthy = snapshot.search_parallel(&q, 5, 64, opts);
-    let live = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
-    match snapshot.search_parallel_cancellable(&q, 5, 64, opts, &live) {
+    let healthy = &snapshot.search_many(&q, 5, 64, opts)[0];
+    let live = [CancelToken::with_deadline(
+        Instant::now() + Duration::from_secs(3600),
+    )];
+    match snapshot
+        .search_many_cancellable(&q, 5, 64, opts, &live)
+        .remove(0)
+    {
         SearchOutcome::Done(res) => {
             assert_eq!(res.neighbors, healthy.neighbors);
             assert_eq!(res.n_estimated, healthy.n_estimated);

@@ -49,7 +49,8 @@ fn vector_for(i: u32) -> Vec<f32> {
 /// Ops performed by a fresh open, so scripts can target the first
 /// insert's WAL append precisely.
 fn open_ops(config: &CollectionConfig) -> u64 {
-    let dir = test_dir("op-count");
+    // Tests run on parallel threads and several call this: one dir each.
+    let dir = test_dir(&format!("op-count-{:?}", std::thread::current().id()));
     let counting = Arc::new(FaultIo::counting(disk_io()));
     drop(Collection::open_with_io(&dir, config.clone(), counting.clone()).unwrap());
     let ops = counting.ops();
