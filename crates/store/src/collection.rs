@@ -48,9 +48,9 @@
 //! record is duplicated, and search still answers.
 //!
 //! ## Read path
-//! Every mutation publishes an immutable [`Snapshot`] — (frozen memtable
-//! view, `Arc`'d segment list) — into a shared slot. A query loads the
-//! current snapshot (an `Arc` clone) and fans out to the memtable view
+//! Every mutation publishes an immutable [`Snapshot`] — (memtable clone,
+//! `Arc`'d segment list) — into a shared slot. A query loads the
+//! current snapshot (an `Arc` clone) and fans out to the memtable
 //! (exact scan) and every segment (the paper's error-bound re-ranked
 //! search); the per-source candidates — all carrying **exact** distances
 //! — k-way-merge through the same [`rabitq_ivf::TopK`] used inside the
@@ -69,7 +69,6 @@ use crate::error::{HealthReport, HealthState, StoreError};
 use crate::io::{atomic_write, disk_io, StorageIo};
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_FILE};
 use crate::memtable::Memtable;
-use crate::memview::MemView;
 use crate::observe::StoreMetrics;
 use crate::segment::Segment;
 use crate::snapshot::{CollectionReader, ParallelOptions, Snapshot, SnapshotSlot};
@@ -141,11 +140,9 @@ pub struct Collection {
     config: CollectionConfig,
     manifest: Manifest,
     wal: Wal,
-    /// The writer's flat working set — authoritative for sealing.
+    /// Unsealed rows. Every published snapshot holds a clone, which the
+    /// writer's later inserts and deletes never disturb.
     memtable: Memtable,
-    /// The read-side twin of `memtable`: a persistent op list kept in
-    /// lockstep, published to readers inside each snapshot.
-    mem_view: MemView,
     segments: Vec<Arc<Segment>>,
     /// The slot readers load snapshots from; shared with every
     /// [`CollectionReader`].
@@ -166,6 +163,27 @@ fn segment_meta(segment: &Segment) -> SegmentMeta {
         file: segment.name().to_string(),
         tombstones: segment.tombstones(),
     }
+}
+
+/// Where the rows [`Collection::install_segment`] is handed came from.
+enum Source<'a> {
+    /// The memtable (a seal): it empties and the WAL floor lifts past it.
+    Memtable,
+    /// The live rows of the segments at these indices (a compaction):
+    /// they are retired.
+    Segments(&'a [usize]),
+}
+
+/// Flattens `(id, row)` pairs into the `(ids, n × dim data)` shape segment
+/// and index builds take.
+fn flatten<'a>(rows: impl Iterator<Item = (u32, &'a [f32])>) -> (Vec<u32>, Vec<f32>) {
+    let mut ids = Vec::new();
+    let mut data = Vec::new();
+    for (id, row) in rows {
+        ids.push(id);
+        data.extend_from_slice(row);
+    }
+    (ids, data)
 }
 
 /// Whether an I/O error is worth retrying: the kinds a disk or kernel
@@ -399,16 +417,17 @@ impl Collection {
 
         let (wal, replay) = Wal::open_with_io(&dir.join(WAL_FILE), config.dim, &io)?;
         let mut memtable = Memtable::new(config.dim);
-        let mut mem_view = MemView::new();
         let mut next_id = manifest.next_id;
+        // Below the floor ⇒ already durable in a segment (the crash hit
+        // between manifest switch and WAL reset), or a second frame for
+        // a row already replayed: the floor follows the replayed ids up.
+        let mut floor = manifest.wal_floor;
         for record in replay.records {
             match record {
                 WalRecord::Insert { id, vector } => {
-                    // Below the floor ⇒ already durable in a segment (the
-                    // crash hit between manifest switch and WAL reset).
-                    if id >= manifest.wal_floor && !memtable.contains(id) {
+                    if id >= floor {
                         memtable.insert(id, &vector);
-                        mem_view.insert(id, &vector);
+                        floor = id + 1;
                     }
                     next_id = next_id.max(id + 1);
                 }
@@ -416,9 +435,7 @@ impl Collection {
                     // Idempotent: re-applying an already-manifested
                     // tombstone (or one whose row was compacted away) is a
                     // no-op.
-                    if memtable.delete(id) {
-                        mem_view.delete(id);
-                    } else {
+                    if !memtable.delete(id) {
                         for segment in &segments {
                             if segment.delete(id) {
                                 break;
@@ -441,7 +458,7 @@ impl Collection {
 
         let slot = Arc::new(SnapshotSlot::new(Snapshot::new(
             config.dim,
-            mem_view.clone(),
+            memtable.clone(),
             segments.clone(),
         )));
         Ok(Self {
@@ -450,7 +467,6 @@ impl Collection {
             manifest,
             wal,
             memtable,
-            mem_view,
             segments,
             slot,
             next_id,
@@ -585,12 +601,13 @@ impl Collection {
     }
 
     /// Publishes the current in-memory state as a fresh immutable
-    /// snapshot. O(1) plus one small allocation; called after every
-    /// mutation so readers always observe a consistent point-in-time view.
+    /// snapshot: a memtable clone (three pointers) and the segment list.
+    /// Called after every mutation so readers always observe a consistent
+    /// point-in-time view.
     fn publish(&self) {
         self.slot.store(Snapshot::new(
             self.config.dim,
-            self.mem_view.clone(),
+            self.memtable.clone(),
             self.segments.clone(),
         ));
         StoreMetrics::bump(&self.metrics.publishes);
@@ -638,7 +655,6 @@ impl Collection {
         StoreMetrics::bump(&self.metrics.wal_appends);
         self.metrics.wal_append_us.record(t0.elapsed());
         self.memtable.insert(id, vector);
-        self.mem_view.insert(id, vector);
         self.next_id = self.next_id.checked_add(1).expect("id space exhausted");
         if self.memtable.len() >= self.config.memtable_capacity {
             // The insert itself is durable; a failed seal freezes future
@@ -657,24 +673,13 @@ impl Collection {
     /// nothing) if the id is unknown or already deleted.
     pub fn delete(&mut self, id: u32) -> Result<bool, StoreError> {
         self.check_writable()?;
-        if self.memtable.contains(id) {
-            let t0 = Instant::now();
-            retry_or_freeze(
-                &self.config,
-                &self.health,
-                &self.metrics,
-                "WAL append (delete)",
-                || self.wal.append_delete(id),
-            )?;
-            StoreMetrics::bump(&self.metrics.wal_appends);
-            self.metrics.wal_append_us.record(t0.elapsed());
-            self.memtable.delete(id);
-            self.mem_view.delete(id);
-            self.publish();
-            return Ok(true);
-        }
-        let Some(seg) = self.segments.iter().position(|s| s.contains_live(id)) else {
-            return Ok(false);
+        let segment = if self.memtable.contains(id) {
+            None
+        } else {
+            match self.segments.iter().find(|s| s.contains_live(id)) {
+                None => return Ok(false),
+                found => found,
+            }
         };
         let t0 = Instant::now();
         retry_or_freeze(
@@ -686,10 +691,13 @@ impl Collection {
         )?;
         StoreMetrics::bump(&self.metrics.wal_appends);
         self.metrics.wal_append_us.record(t0.elapsed());
-        // The tombstone bitmap is atomic, so this is immediately visible
-        // to in-flight snapshots too; republish regardless so the slot
-        // always reflects the latest committed state.
-        self.segments[seg].delete(id);
+        match segment {
+            None => self.memtable.delete(id),
+            // The tombstone bitmap is atomic, so this is immediately
+            // visible to in-flight snapshots too; republish regardless so
+            // the slot always reflects the latest committed state.
+            Some(segment) => segment.delete(id),
+        };
         self.publish();
         Ok(true)
     }
@@ -734,55 +742,15 @@ impl Collection {
             return Ok(());
         }
         let t0 = Instant::now();
-        let rows = self.memtable.len();
-        let name = format!("seg-{:06}.rbq", self.manifest.next_segment_seq);
-        let segment = Segment::build(
-            name.clone(),
-            self.memtable.ids().to_vec(),
-            self.memtable.data(),
-            self.config.dim,
-            &self.config.ivf,
-            self.config.rabitq,
-        );
-        let mut bytes = Vec::new();
-        segment.write(&mut bytes)?;
-        retry_or_freeze(
-            &self.config,
-            &self.health,
-            &self.metrics,
-            "segment write (seal)",
-            || atomic_write(self.io.as_ref(), &self.dir.join(&name), &bytes),
-        )?;
-
-        let mut staged = self.manifest.clone();
-        staged.next_segment_seq += 1;
-        staged.next_id = self.next_id;
-        staged.wal_floor = self.next_id;
-        staged.segments = self.segment_metas();
-        staged.segments.push(SegmentMeta {
-            file: name.clone(),
-            tombstones: Vec::new(),
-        });
-        retry_or_freeze(
-            &self.config,
-            &self.health,
-            &self.metrics,
-            "manifest switch (seal)",
-            || staged.store_with_io(&self.dir.join(MANIFEST_FILE), self.io.as_ref()),
-        )?;
-
-        // Durable — commit, then let readers see the new segment set.
-        self.manifest = staged;
-        self.segments.push(Arc::new(segment));
-        self.memtable.clear();
-        self.mem_view.clear();
-        self.publish();
+        let (ids, data) = flatten(self.memtable.entries());
+        let rows = ids.len();
+        let bytes = self.install_segment(Source::Memtable, ids, &data)?;
         StoreMetrics::bump(&self.metrics.seals);
         self.metrics.seal_us.record(t0.elapsed());
-        self.metrics.journal.push(
-            "seal",
-            format!("{rows} rows -> {name} ({} bytes)", bytes.len()),
-        );
+        let name = self.segments[self.segments.len() - 1].name();
+        self.metrics
+            .journal
+            .push("seal", format!("{rows} rows -> {name} ({bytes} bytes)"));
         // A failed WAL reset is harmless for consistency (records below
         // the floor are skipped on replay) but freezes the collection:
         // the log can no longer be trusted to accept appends.
@@ -839,100 +807,16 @@ impl Collection {
     fn compact_indices(&mut self, indices: &[usize]) -> Result<(), StoreError> {
         self.check_writable()?;
         let t0 = Instant::now();
-        let mut ids = Vec::new();
-        let mut data = Vec::new();
-        for &i in indices {
-            for (id, vector) in self.segments[i].live_entries() {
-                ids.push(id);
-                data.extend_from_slice(vector);
-            }
-        }
-        // Keep ids ascending so merged segments look like sealed ones.
-        let mut order: Vec<usize> = (0..ids.len()).collect();
-        order.sort_unstable_by_key(|&r| ids[r]);
-        let dim = self.config.dim;
-        let (sorted_ids, sorted_data) = order.iter().fold(
-            (
-                Vec::with_capacity(ids.len()),
-                Vec::with_capacity(data.len()),
-            ),
-            |(mut si, mut sd), &r| {
-                si.push(ids[r]);
-                sd.extend_from_slice(&data[r * dim..(r + 1) * dim]);
-                (si, sd)
-            },
-        );
-
-        let bytes_in = (sorted_data.len() * std::mem::size_of::<f32>()) as u64;
-        let n_rows = sorted_ids.len();
-        let mut bytes_out = 0u64;
-        let replacement = if sorted_ids.is_empty() {
-            None // every row was tombstoned: the segments just disappear
-        } else {
-            let name = format!("seg-{:06}.rbq", self.manifest.next_segment_seq);
-            let segment = Segment::build(
-                name.clone(),
-                sorted_ids,
-                &sorted_data,
-                dim,
-                &self.config.ivf,
-                self.config.rabitq,
-            );
-            let mut bytes = Vec::new();
-            segment.write(&mut bytes)?;
-            bytes_out = bytes.len() as u64;
-            retry_or_freeze(
-                &self.config,
-                &self.health,
-                &self.metrics,
-                "segment write (compaction)",
-                || atomic_write(self.io.as_ref(), &self.dir.join(&name), &bytes),
-            )?;
-            Some(segment)
-        };
-
-        // Stage the post-merge manifest; in-memory state only changes
-        // after the rename lands.
-        let mut staged = self.manifest.clone();
-        if replacement.is_some() {
-            staged.next_segment_seq += 1;
-        }
-        staged.segments = self
-            .segments
+        let mut rows: Vec<(u32, &[f32])> = indices
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !indices.contains(i))
-            .map(|(_, s)| segment_meta(s))
-            .chain(replacement.iter().map(|s| SegmentMeta {
-                file: s.name().to_string(),
-                tombstones: Vec::new(),
-            }))
+            .flat_map(|&i| self.segments[i].live_entries())
             .collect();
-        retry_or_freeze(
-            &self.config,
-            &self.health,
-            &self.metrics,
-            "manifest switch (compaction)",
-            || staged.store_with_io(&self.dir.join(MANIFEST_FILE), self.io.as_ref()),
-        )?;
-
-        // Durable — commit and publish; the merged-away segments stay
-        // alive (in memory) as long as some snapshot still references
-        // them, then free via Arc drop. Their files unlink immediately —
-        // in-memory readers never reopen them, and a failed unlink just
-        // leaves an orphan for the next open's GC.
-        self.manifest = staged;
-        let mut old_files = Vec::with_capacity(indices.len());
-        for &i in indices.iter().rev() {
-            old_files.push(self.segments.remove(i).name().to_string());
-        }
-        if let Some(segment) = replacement {
-            self.segments.push(Arc::new(segment));
-        }
-        self.publish();
-        for file in old_files {
-            self.io.remove_file(&self.dir.join(file)).ok();
-        }
+        // Keep ids ascending so merged segments look like sealed ones.
+        rows.sort_unstable_by_key(|&(id, _)| id);
+        let (ids, data) = flatten(rows.into_iter());
+        let n_rows = ids.len();
+        let bytes_in = std::mem::size_of_val(data.as_slice()) as u64;
+        let bytes_out = self.install_segment(Source::Segments(indices), ids, &data)?;
         StoreMetrics::bump(&self.metrics.compactions);
         self.metrics.compaction_us.record(t0.elapsed());
         StoreMetrics::add(&self.metrics.compaction_bytes_in, bytes_in);
@@ -947,9 +831,91 @@ impl Collection {
         Ok(())
     }
 
-    /// The manifest entries for the current in-memory segment set.
-    fn segment_metas(&self) -> Vec<SegmentMeta> {
-        self.segments.iter().map(|s| segment_meta(s)).collect()
+    /// The one segment-installing write path, shared by seal and
+    /// compaction. Builds a segment over the rows — none when every row
+    /// was tombstoned, the retired segments just disappear — writes its
+    /// file, switches the manifest, and only then commits in memory and
+    /// publishes. Returns the new file's size in bytes.
+    fn install_segment(
+        &mut self,
+        source: Source<'_>,
+        ids: Vec<u32>,
+        data: &[f32],
+    ) -> Result<u64, StoreError> {
+        let (what, sealing, retire): (_, _, &[usize]) = match source {
+            Source::Memtable => ("seal", true, &[]),
+            Source::Segments(indices) => ("compaction", false, indices),
+        };
+        let mut bytes = Vec::new();
+        let replacement = if ids.is_empty() {
+            None
+        } else {
+            let name = format!("seg-{:06}.rbq", self.manifest.next_segment_seq);
+            let segment = Segment::build(
+                name.clone(),
+                ids,
+                data,
+                self.config.dim,
+                &self.config.ivf,
+                self.config.rabitq,
+            );
+            segment.write(&mut bytes)?;
+            retry_or_freeze(
+                &self.config,
+                &self.health,
+                &self.metrics,
+                &format!("segment write ({what})"),
+                || atomic_write(self.io.as_ref(), &self.dir.join(&name), &bytes),
+            )?;
+            Some(Arc::new(segment))
+        };
+
+        // Stage the new manifest; in-memory state only changes after the
+        // rename lands.
+        let mut staged = self.manifest.clone();
+        if replacement.is_some() {
+            staged.next_segment_seq += 1;
+        }
+        if sealing {
+            staged.next_id = self.next_id;
+            staged.wal_floor = self.next_id;
+        }
+        staged.segments = self
+            .segments
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !retire.contains(i))
+            .map(|(_, s)| s)
+            .chain(&replacement)
+            .map(|s| segment_meta(s))
+            .collect();
+        retry_or_freeze(
+            &self.config,
+            &self.health,
+            &self.metrics,
+            &format!("manifest switch ({what})"),
+            || staged.store_with_io(&self.dir.join(MANIFEST_FILE), self.io.as_ref()),
+        )?;
+
+        // Durable — commit and publish; retired segments stay alive (in
+        // memory) as long as some snapshot still references them, then
+        // free via Arc drop. Their files unlink immediately — in-memory
+        // readers never reopen them, and a failed unlink just leaves an
+        // orphan for the next open's GC.
+        self.manifest = staged;
+        let mut old_files = Vec::with_capacity(retire.len());
+        for &i in retire.iter().rev() {
+            old_files.push(self.segments.remove(i).name().to_string());
+        }
+        self.segments.extend(replacement);
+        if sealing {
+            self.memtable.clear();
+        }
+        self.publish();
+        for file in old_files {
+            self.io.remove_file(&self.dir.join(file)).ok();
+        }
+        Ok(bytes.len() as u64)
     }
 
     /// Builds a throwaway [`IvfRabitq`] over the collection's current live
@@ -957,25 +923,14 @@ impl Collection {
     /// compaction acceptance test. Returns the index and the global id of
     /// each of its rows.
     pub fn to_flat_index(&self) -> Option<(IvfRabitq, Vec<u32>)> {
-        let dim = self.config.dim;
-        let mut ids = Vec::new();
-        let mut data = Vec::new();
-        for segment in &self.segments {
-            for (id, vector) in segment.live_entries() {
-                ids.push(id);
-                data.extend_from_slice(vector);
-            }
-        }
-        for (id, vector) in self.memtable.entries() {
-            ids.push(id);
-            data.extend_from_slice(vector);
-        }
+        let segment_rows = self.segments.iter().flat_map(|s| s.live_entries());
+        let (ids, data) = flatten(segment_rows.chain(self.memtable.entries()));
         if ids.is_empty() {
             return None;
         }
         let mut ivf = self.config.ivf.clone();
         ivf.n_clusters = IvfConfig::clusters_for(ids.len()).min(ids.len());
-        let index = IvfRabitq::build(&data, dim, &ivf, self.config.rabitq);
+        let index = IvfRabitq::build(&data, self.config.dim, &ivf, self.config.rabitq);
         Some((index, ids))
     }
 }

@@ -8,8 +8,7 @@
 //! | Module | Role |
 //! |---|---|
 //! | [`wal`] | append-only log, checksummed frames, torn-tail recovery |
-//! | [`memtable`] | fresh writes, exact-scan search (writer side) |
-//! | [`memview`] | persistent, structurally shared memtable view (reader side) |
+//! | [`memtable`] | fresh writes in `Arc`'d row chunks: exact-scan search, cheap clones shared by the writer and every snapshot |
 //! | [`segment`] | sealed IVF-RaBitQ index + global-id remap |
 //! | [`snapshot`] | immutable point-in-time views, parallel fan-out, batch search |
 //! | [`pool`] | persistent process-wide worker threads behind the parallel paths |
@@ -60,7 +59,6 @@ pub mod error;
 pub mod io;
 pub mod manifest;
 pub mod memtable;
-pub mod memview;
 pub mod observe;
 pub mod pool;
 pub mod segment;
@@ -73,7 +71,6 @@ pub use error::{HealthReport, HealthState, StoreError};
 pub use io::{atomic_write, disk_io, DiskIo, FaultIo, FaultKind, FaultScript, LogFile, StorageIo};
 pub use manifest::{Manifest, SegmentMeta, MANIFEST_FILE};
 pub use memtable::Memtable;
-pub use memview::MemView;
 pub use observe::StoreMetrics;
 pub use pool::WorkerPool;
 pub use rabitq_ivf::CancelToken;

@@ -3,7 +3,7 @@
 //!
 //! ## Shape
 //!
-//! A snapshot is the pair (frozen memtable view, `Arc`'d segment list).
+//! A snapshot is the pair (memtable clone, `Arc`'d segment list).
 //! The writer rebuilds it after **every** mutation and swaps it into a
 //! shared slot; readers load the current `Arc<Snapshot>` (a read-lock held
 //! only long enough to clone the `Arc`) and then run the entire query on
@@ -12,14 +12,15 @@
 //! so **writers never block readers**: the longest a reader can wait is
 //! the nanoseconds of an `Arc` pointer swap.
 //!
-//! The memtable view is a *persistent* (structurally shared) operation
-//! list: each insert/delete prepends one node, so publishing a new
-//! snapshot is O(1) and older snapshots keep seeing exactly the rows they
-//! were created with. Segments are immutable by construction; their only
-//! mutation — tombstoning — is an atomic bitmap write that is safe (and
-//! immediately visible) under concurrent readers.
+//! The memtable is the writer's own [`Memtable`], cloned: its rows sit in
+//! `Arc`'d chunks the writer never mutates once shared (an insert copies
+//! at most the one open chunk), so publishing a new snapshot copies three
+//! pointers and older snapshots keep seeing exactly the rows and deletes
+//! they were created with. Segments are immutable by construction; their
+//! only mutation — tombstoning — is an atomic bitmap write that is safe
+//! (and immediately visible) under concurrent readers.
 //!
-//! Memory reclamation is `Arc`-drop: a sealed-away memtable chain or a
+//! Memory reclamation is `Arc`-drop: a sealed-away memtable chunk or a
 //! compacted-away segment lives exactly as long as the last snapshot that
 //! references it, then frees without any epoch or GC machinery.
 //!
@@ -41,7 +42,7 @@
 
 use crate::error::HealthReport;
 use crate::error::HealthState;
-use crate::memview::MemView;
+use crate::memtable::Memtable;
 use crate::observe::StoreMetrics;
 use crate::pool::WorkerPool;
 use crate::segment::Segment;
@@ -162,7 +163,7 @@ impl SearchOutcome {
 /// An immutable, searchable view of a collection at one instant.
 pub struct Snapshot {
     dim: usize,
-    memtable: MemView,
+    memtable: Memtable,
     segments: Vec<Arc<Segment>>,
 }
 
@@ -179,7 +180,7 @@ fn task_seed(seed: u64, query: usize, segment: usize) -> u64 {
 }
 
 impl Snapshot {
-    pub(crate) fn new(dim: usize, memtable: MemView, segments: Vec<Arc<Segment>>) -> Self {
+    pub(crate) fn new(dim: usize, memtable: Memtable, segments: Vec<Arc<Segment>>) -> Self {
         Self {
             dim,
             memtable,
@@ -193,7 +194,7 @@ impl Snapshot {
         self.dim
     }
 
-    /// Live vectors across the frozen memtable view and all segments.
+    /// Live vectors across the frozen memtable and all segments.
     pub fn len(&self) -> usize {
         self.memtable.len() + self.segments.iter().map(|s| s.n_live()).sum::<usize>()
     }
@@ -209,7 +210,7 @@ impl Snapshot {
         self.segments.len()
     }
 
-    /// Rows visible in the frozen memtable view.
+    /// Rows visible in the frozen memtable.
     #[inline]
     pub fn memtable_len(&self) -> usize {
         self.memtable.len()
@@ -454,7 +455,7 @@ impl CollectionReader {
         self.snapshot().n_segments()
     }
 
-    /// Rows visible in the latest snapshot's frozen memtable view.
+    /// Rows visible in the latest snapshot's frozen memtable.
     pub fn memtable_len(&self) -> usize {
         self.snapshot().memtable_len()
     }

@@ -4,20 +4,26 @@
 //! fans out over (a scratch built per segment would cost a dozen
 //! allocations each). Same harness as `crates/ivf/tests/alloc_free.rs`.
 //!
-//! This file holds exactly one test: the counter is process-global, so a
-//! concurrently running test could allocate on another thread and produce a
-//! false positive.
+//! The second case leaves rows in the memtable and deletes some of them:
+//! the memtable scan walks its delete list in place, so the bound holds
+//! there too.
+//!
+//! The counter is process-global, so the tests take a lock: one running
+//! beside the other would allocate on its own thread and produce a false
+//! positive.
 
 use rabitq_store::{Collection, CollectionConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 struct CountingAllocator;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static SERIAL: Mutex<()> = Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -42,9 +48,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-#[test]
-fn warmed_reader_search_allocates_only_its_result() {
-    let dir = std::env::temp_dir().join(format!("rabitq-store-alloc-{}", std::process::id()));
+/// Ingests `n_rows` (a seal every 200), deletes `deletes`, warms the
+/// reader, and asserts a measured pass over the same queries allocates
+/// nothing beyond each result.
+fn assert_warmed_search_allocates_only_its_result(tag: &str, n_rows: usize, deletes: &[u32]) {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("rabitq-store-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let dim = 16;
     let mut config = CollectionConfig::new(dim);
@@ -52,11 +61,16 @@ fn warmed_reader_search_allocates_only_its_result() {
     config.auto_compact = false;
     let mut collection = Collection::open(&dir, config).unwrap();
     let mut rng = StdRng::seed_from_u64(5);
-    let rows = rabitq_math::rng::standard_normal_vec(&mut rng, 810 * dim);
+    let rows = rabitq_math::rng::standard_normal_vec(&mut rng, n_rows * dim);
     for row in rows.chunks_exact(dim) {
         collection.insert(row).unwrap();
     }
     assert_eq!(collection.n_segments(), 4);
+    assert_eq!(collection.memtable_len(), n_rows - 800);
+    for &id in deletes {
+        assert!(id >= 800, "delete a memtable row");
+        assert!(collection.delete(id).unwrap());
+    }
     let reader = collection.reader();
     let queries: Vec<&[f32]> = rows.chunks_exact(dim).step_by(90).collect();
 
@@ -83,4 +97,17 @@ fn warmed_reader_search_allocates_only_its_result() {
         queries.len()
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn warmed_reader_search_allocates_only_its_result() {
+    assert_warmed_search_allocates_only_its_result("alloc", 810, &[]);
+}
+
+#[test]
+fn warmed_reader_search_with_memtable_deletes_allocates_only_its_result() {
+    // Five, not two: a per-query list of deleted ids would grow past its
+    // first allocation and break the bound.
+    let deletes = [801, 820, 845, 870, 888];
+    assert_warmed_search_allocates_only_its_result("alloc-deletes", 890, &deletes);
 }

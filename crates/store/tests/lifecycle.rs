@@ -1,6 +1,6 @@
 //! Collection lifecycle: open → write → crash → replay → compact → search.
 
-use rabitq_store::{Collection, CollectionConfig, Wal, MANIFEST_FILE, WAL_FILE};
+use rabitq_store::{Collection, CollectionConfig, Segment, Wal, MANIFEST_FILE, WAL_FILE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -114,6 +114,30 @@ fn wal_floor_skips_records_already_sealed_into_segments() {
     // Insert 3 was skipped (below the floor), delete 3 applied once.
     assert_eq!(c.len(), 59);
     assert_eq!(c.memtable_len(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sealed_segments_are_id_ascending_after_memtable_deletes() {
+    // Compaction sorts its rows "so merged segments look like sealed
+    // ones"; this pins the other half: a seal writes ids ascending even
+    // when memtable rows were deleted before it.
+    let dir = tmp_dir("seal-order");
+    let dim = 8;
+    let data = gaussian(40, dim, 11);
+    let mut c = Collection::open(&dir, small_config(dim, 1000)).unwrap();
+    for row in data.chunks_exact(dim) {
+        c.insert(row).unwrap();
+    }
+    assert!(c.delete(3).unwrap());
+    assert!(c.delete(17).unwrap());
+    c.seal().unwrap();
+    assert_eq!(c.n_segments(), 1);
+
+    let segment = Segment::load(&dir.join("seg-000000.rbq")).unwrap();
+    let ids: Vec<u32> = segment.live_entries().map(|(id, _)| id).collect();
+    let expect: Vec<u32> = (0..40).filter(|id| ![3, 17].contains(id)).collect();
+    assert_eq!(ids, expect);
     std::fs::remove_dir_all(&dir).ok();
 }
 
