@@ -265,7 +265,7 @@ impl Lut {
                 unreachable!()
             };
             data.resize(segments * 16, 0);
-            fill_lut(qu, segments, |idx, v| data[idx] = v as u8);
+            fill_lut(qu, data);
             debug_assert_eq!(data.len(), segments * 16);
         } else {
             if !matches!(self.data, LutData::U16(_)) {
@@ -275,7 +275,7 @@ impl Lut {
                 unreachable!()
             };
             data.resize(segments * 16, 0);
-            fill_lut(qu, segments, |idx, v| data[idx] = v);
+            fill_lut(qu, data);
             debug_assert_eq!(data.len(), segments * 16);
         }
     }
@@ -287,17 +287,18 @@ impl Lut {
     }
 }
 
-fn fill_lut(qu: &[u8], segments: usize, mut store: impl FnMut(usize, u16)) {
-    for s in 0..segments {
-        let vals = &qu[s * 4..s * 4 + 4];
-        for m in 0u16..16 {
-            let mut acc = 0u16;
-            for (t, &v) in vals.iter().enumerate() {
-                if (m >> t) & 1 == 1 {
-                    acc += v as u16;
-                }
-            }
-            store(s * 16 + m as usize, acc);
+/// Fills one 16-entry table per 4 quantized entries: entry `m` is the sum
+/// of the entries selected by the bits of `m`, built by the subset-sum
+/// recurrence `t[m] = t[m & (m − 1)] + v[trailing_zeros(m)]` (one add per
+/// entry). The caller guarantees the sums fit `T` (`B_q ≤ 4` for `u8`).
+fn fill_lut<T>(qu: &[u8], tables: &mut [T])
+where
+    T: Copy + Default + From<u8> + std::ops::Add<Output = T>,
+{
+    for (vals, t) in qu.chunks_exact(4).zip(tables.chunks_exact_mut(16)) {
+        t[0] = T::default();
+        for m in 1usize..16 {
+            t[m] = t[m & (m - 1)] + T::from(vals[m.trailing_zeros() as usize]);
         }
     }
 }
@@ -771,6 +772,7 @@ pub mod raw {
 mod tests {
     use super::*;
     use crate::kernels::ip_code_query;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -934,23 +936,46 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    #[test]
-    fn lut_entries_match_definition() {
-        let query = random_query(64, 4, 14);
-        let lut = Lut::build(&query);
-        let qu = query.qu();
-        if let LutData::U8(entries) = &lut.data {
-            for s in 0..16 {
-                for m in 0..16usize {
-                    let want: u16 = (0..4)
-                        .filter(|t| (m >> t) & 1 == 1)
-                        .map(|t| qu[s * 4 + t] as u16)
-                        .sum();
-                    assert_eq!(entries[s * 16 + m] as u16, want);
+    /// The definition, as the nest `fill_lut` replaced: entry `m` of
+    /// segment `s` sums the entries whose bit is set in `m`.
+    fn lut_reference(qu: &[u8]) -> Vec<u16> {
+        let mut out = Vec::with_capacity(qu.len() * 4);
+        for vals in qu.chunks_exact(4) {
+            for m in 0u16..16 {
+                let mut acc = 0u16;
+                for (t, &v) in vals.iter().enumerate() {
+                    if (m >> t) & 1 == 1 {
+                        acc += v as u16;
+                    }
                 }
+                out.push(acc);
             }
-        } else {
-            panic!("expected u8 LUT for bq=4");
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Both table widths (`B_q ≤ 4` → u8, above → u16) through one
+        /// reused `Lut`, so width switches and shrinking are covered too.
+        #[test]
+        fn lut_entries_match_definition(
+            shapes in proptest::collection::vec((1usize..=32, 1u8..=8), 1..4),
+            seed in 0u64..10_000,
+        ) {
+            let mut lut = Lut::empty();
+            for (i, &(words, bq)) in shapes.iter().enumerate() {
+                let query = random_query(words * 64, bq, seed + i as u64);
+                lut.rebuild(&query);
+                let want = lut_reference(query.qu());
+                let got: Vec<u16> = match &lut.data {
+                    LutData::U8(e) => e.iter().map(|&v| v as u16).collect(),
+                    LutData::U16(e) => e.clone(),
+                };
+                prop_assert_eq!(matches!(lut.data, LutData::U8(_)), bq <= 4);
+                prop_assert_eq!(got, want, "B = {} bq = {}", words * 64, bq);
+            }
         }
     }
 }

@@ -122,15 +122,23 @@ impl QuantizedQuery {
         }
 
         let sum_qu: u32 = qu.iter().map(|&v| v as u32).sum();
+        // Bit-planes, eight entries per step: load them as one `u64`, keep
+        // bit `j` of every byte, and let one multiply gather those eight
+        // bits into the top byte (the partial products land on distinct
+        // bit positions, so nothing carries). Every plane word is
+        // overwritten, so a reused buffer needs no clear.
+        const BYTE_LSBS: u64 = 0x0101_0101_0101_0101;
+        const GATHER: u64 = 0x0102_0408_1020_4080;
         self.bitplanes.resize(bq as usize * words, 0);
-        self.bitplanes.fill(0);
-        for (d, &v) in qu.iter().enumerate() {
-            let word = d / 64;
-            let bit = d % 64;
+        for (w, entries) in qu.chunks_exact(64).enumerate() {
             for j in 0..bq as usize {
-                if (v >> j) & 1 == 1 {
-                    self.bitplanes[j * words + word] |= 1u64 << bit;
+                let mut plane = 0u64;
+                for (g, eight) in entries.chunks_exact(8).enumerate() {
+                    let x = u64::from_le_bytes(eight.try_into().expect("8 entries"));
+                    let bits = ((x >> j) & BYTE_LSBS).wrapping_mul(GATHER) >> 56;
+                    plane |= bits << (8 * g);
                 }
+                self.bitplanes[j * words + w] = plane;
             }
         }
 
@@ -178,6 +186,7 @@ impl QuantizedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -197,20 +206,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bitplanes_reconstruct_qu() {
-        let residual = sample_residual(192, 3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let q = QuantizedQuery::from_rotated_residual(&residual, 4, &mut rng);
-        for d in 0..192 {
-            let mut v = 0u8;
-            for j in 0..4 {
-                let w = q.bitplane(j)[d / 64];
-                if (w >> (d % 64)) & 1 == 1 {
-                    v |= 1 << j;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The multiply-gather planes against the per-bit loop it
+        /// replaced, through one reused shell (planes are overwritten,
+        /// never cleared, so stale words would show here).
+        #[test]
+        fn bitplanes_reconstruct_qu(
+            shapes in proptest::collection::vec((1usize..=32, 1u8..=8), 1..4),
+            seed in 0u64..10_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut q = QuantizedQuery::empty();
+            for &(words, bq) in &shapes {
+                let residual = rabitq_math::rng::standard_normal_vec(&mut rng, words * 64);
+                q.quantize_from_rotated_residual(&residual, bq, &mut rng);
+                let mut want = vec![0u64; bq as usize * words];
+                for (d, &v) in q.qu().iter().enumerate() {
+                    for j in 0..bq as usize {
+                        if (v >> j) & 1 == 1 {
+                            want[j * words + d / 64] |= 1u64 << (d % 64);
+                        }
+                    }
+                }
+                for j in 0..bq as usize {
+                    prop_assert_eq!(
+                        q.bitplane(j),
+                        &want[j * words..(j + 1) * words],
+                        "B = {} bq = {} plane {}",
+                        words * 64,
+                        bq,
+                        j
+                    );
                 }
             }
-            assert_eq!(v, q.qu()[d], "dimension {d}");
         }
     }
 

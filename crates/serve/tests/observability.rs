@@ -7,6 +7,7 @@ mod common;
 
 use common::{request, row_vector, search_body, start_server, Client};
 use rabitq_serve::{Json, ServeConfig};
+use std::time::Duration;
 
 #[test]
 fn metrics_scrape_under_live_traffic_is_valid_exposition_text() {
@@ -137,8 +138,11 @@ fn debug_timings_flag_adds_a_stage_breakdown() {
 #[test]
 fn slow_query_log_and_stats_surface_store_metrics_and_events() {
     let mut config = ServeConfig::default();
-    config.slow_query_ms = 1; // virtually every query is "slow"
+    config.slow_query_ms = 1;
     config.events_capacity = 8;
+    // A lone batched search waits out the whole linger before dispatch,
+    // so every request below is "slow" however fast the engine answers.
+    config.batch.linger = Duration::from_millis(3);
     let (server, dir) = start_server("slowlog", config);
     let addr = server.addr();
 
@@ -147,7 +151,7 @@ fn slow_query_log_and_stats_surface_store_metrics_and_events() {
             addr,
             "POST",
             "/search",
-            &search_body(&row_vector(i, 4), 5, Some("direct")),
+            &search_body(&row_vector(i, 4), 5, Some("batched")),
         );
         assert_eq!(resp.status, 200);
     }
@@ -172,14 +176,15 @@ fn slow_query_log_and_stats_surface_store_metrics_and_events() {
         .iter()
         .filter_map(|e| e.get("kind").and_then(Json::as_str))
         .collect();
-    assert!(
-        kinds.contains(&"slow_query"),
-        "expected slow_query events, got {kinds:?}"
-    );
-    // Sixteen slow queries through an 8-slot ring: eviction happened and
-    // sequence numbers kept climbing.
-    let first_seq = events[0].get("seq").and_then(Json::as_u64).unwrap();
-    assert!(first_seq > 0, "oldest retained event must not be seq 0");
+    // Sixteen slow queries through an 8-slot ring: only slow queries are
+    // left, eviction happened, and sequence numbers kept climbing.
+    assert_eq!(kinds, ["slow_query"; 8], "ring after 16 slow queries");
+    let seqs: Vec<u64> = events
+        .iter()
+        .filter_map(|e| e.get("seq").and_then(Json::as_u64))
+        .collect();
+    assert!(seqs[0] >= 8, "oldest retained seq {} < 8", seqs[0]);
+    assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "seqs {seqs:?}");
 
     let stages = stats
         .get("metrics")
