@@ -587,7 +587,7 @@ mod tests {
         aq.fastscan_distances(&query, &packed, &codes, &mut fast);
         let luts = aq.build_ip_luts(&query);
         let q_norm_sq = vecs::dot(&query, &query);
-        for i in 0..codes.len() {
+        for (i, f) in fast.iter().enumerate().take(codes.len()) {
             let exact = aq.adc_distance(
                 &luts,
                 q_norm_sq,
@@ -595,9 +595,9 @@ mod tests {
                 codes.recon_norms_sq[i],
             );
             assert!(
-                (fast[i] - exact).abs() < 0.15 * (1.0 + exact.abs()),
+                (f - exact).abs() < 0.15 * (1.0 + exact.abs()),
                 "code {i}: {} vs {exact}",
-                fast[i]
+                f
             );
         }
     }
@@ -637,9 +637,9 @@ mod tests {
         let code = [3u8, 7u8];
         let mut rec = vec![0.0f32; dim];
         aq.decode(&code, &mut rec);
-        for d in 0..dim {
+        for (d, r) in rec.iter().enumerate().take(dim) {
             let want = aq.codeword(0, 3)[d] + aq.codeword(1, 7)[d];
-            assert!((rec[d] - want).abs() < 1e-6);
+            assert!((r - want).abs() < 1e-6);
         }
     }
 }

@@ -31,9 +31,9 @@ proptest! {
         let code = [1u8, 5, 14];
         let mut rec = vec![0.0f32; 8];
         aq.decode(&code, &mut rec);
-        for d in 0..8 {
+        for (d, r) in rec.iter().enumerate().take(8) {
             let want: f32 = (0..3).map(|m| aq.codeword(m, code[m] as usize)[d]).sum();
-            prop_assert!((rec[d] - want).abs() < 1e-5);
+            prop_assert!((r - want).abs() < 1e-5);
         }
     }
 

@@ -103,12 +103,12 @@ fn main() {
             ] {
                 let mut sw = Stopwatch::new();
                 let mut recall = 0.0;
-                for qi in 0..queries {
+                for (qi, want_row) in want.iter().enumerate().take(queries) {
                     sw.start();
                     let res = index.search(ds.query(qi), k, nprobe, 0, ScanMode::FastScanBatch);
                     sw.stop();
                     let got: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
-                    recall += recall_at_k(&want[qi], &got);
+                    recall += recall_at_k(want_row, &got);
                 }
                 table.row(&[
                     label,
@@ -146,12 +146,12 @@ fn run_rabitq(
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF10);
     let mut sw = Stopwatch::new();
     let mut recall = 0.0;
-    for qi in 0..queries {
+    for (qi, want_row) in want.iter().enumerate().take(queries) {
         sw.start();
         let res = index.search_with(ds.query(qi), k, nprobe, strategy, &mut rng);
         sw.stop();
         let got: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
-        recall += recall_at_k(&want[qi], &got);
+        recall += recall_at_k(want_row, &got);
     }
     table.row(&[
         label.to_string(),

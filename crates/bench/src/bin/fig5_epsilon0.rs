@@ -46,7 +46,7 @@ fn main() {
             let mut recall = 0.0;
             let mut reranked = 0usize;
             let mut estimated = 0usize;
-            for qi in 0..queries {
+            for (qi, truth) in gt.iter().enumerate().take(queries) {
                 let res = index.search_with(
                     ds.query(qi),
                     k,
@@ -55,7 +55,7 @@ fn main() {
                     &mut rng,
                 );
                 let got: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
-                let want: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+                let want: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
                 recall += recall_at_k(&want, &got);
                 reranked += res.n_reranked;
                 estimated += res.n_estimated;

@@ -65,7 +65,7 @@ fn main() {
         for bq in 1..=8u8 {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xB9);
             let mut err = RelativeErrorStats::new();
-            for qi in 0..queries {
+            for (qi, exact_row) in exact.iter().enumerate().take(queries) {
                 let query = tb.ds.query(qi);
                 for (c, ids) in tb.buckets.iter().enumerate() {
                     if ids.is_empty() {
@@ -75,7 +75,7 @@ fn main() {
                         quantizer.prepare_query_bq(query, tb.coarse.centroid(c), bq, &mut rng);
                     for (slot, &id) in ids.iter().enumerate() {
                         let est = quantizer.estimate(&prepared, &buckets[c], slot);
-                        err.record(est.dist_sq, exact[qi][id as usize]);
+                        err.record(est.dist_sq, exact_row[id as usize]);
                     }
                 }
             }

@@ -78,7 +78,7 @@ fn main() {
             .collect();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7AB6);
         let mut err = RelativeErrorStats::new();
-        for qi in 0..queries {
+        for (qi, exact_row) in exact.iter().enumerate().take(queries) {
             let query = tb.ds.query(qi);
             for (c, ids) in tb.buckets.iter().enumerate() {
                 if ids.is_empty() {
@@ -87,7 +87,7 @@ fn main() {
                 let prepared = quantizer.prepare_query(query, tb.coarse.centroid(c), &mut rng);
                 for (slot, &id) in ids.iter().enumerate() {
                     let est = quantizer.estimate(&prepared, &sets[c], slot);
-                    err.record(est.dist_sq, exact[qi][id as usize]);
+                    err.record(est.dist_sq, exact_row[id as usize]);
                 }
             }
         }

@@ -19,11 +19,11 @@ impl Args {
     /// Panics (with a usage hint) on a dangling `--key` or a token that is
     /// not part of a pair.
     pub fn parse() -> Self {
-        Self::from_iter(std::env::args().skip(1))
+        Self::from_tokens(std::env::args().skip(1))
     }
 
     /// Parses from an explicit token stream (testable).
-    pub fn from_iter<I: IntoIterator<Item = String>>(tokens: I) -> Self {
+    pub fn from_tokens<I: IntoIterator<Item = String>>(tokens: I) -> Self {
         let mut values = HashMap::new();
         let mut iter = tokens.into_iter();
         while let Some(tok) = iter.next() {
@@ -100,7 +100,7 @@ mod tests {
     use super::*;
 
     fn args(s: &[&str]) -> Args {
-        Args::from_iter(s.iter().map(|t| t.to_string()))
+        Args::from_tokens(s.iter().map(|t| t.to_string()))
     }
 
     #[test]

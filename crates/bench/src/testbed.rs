@@ -119,9 +119,9 @@ mod tests {
         for i in [0usize, 57, 199] {
             let c = assignment[i] as usize;
             let r = tb.residual(i as u32);
-            for d in 0..tb.ds.dim {
+            for (d, x) in r.iter().enumerate().take(tb.ds.dim) {
                 let want = tb.ds.vector(i)[d];
-                let got = r[d] + tb.coarse.centroid(c)[d];
+                let got = x + tb.coarse.centroid(c)[d];
                 assert!((want - got).abs() < 1e-5);
             }
         }

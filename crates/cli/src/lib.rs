@@ -7,7 +7,7 @@
 //! rabitq generate      --dataset sift --n 100000 --queries 1000 \
 //!                      --out-data base.fvecs --out-queries q.fvecs
 //! rabitq ground-truth  --data base.fvecs --queries q.fvecs --k 100 --out gt.ivecs
-//! rabitq build         --data base.fvecs --clusters 1024 --out index.rbq
+//! rabitq build         --data base.fvecs --clusters 1024 --out index.rbq [--dense]
 //! rabitq search        --index index.rbq --queries q.fvecs --k 100 \
 //!                      --nprobe 64 --gt gt.ivecs --out results.ivecs
 //! rabitq info          --index index.rbq
@@ -122,7 +122,10 @@ pub fn usage() -> String {
          one-shot index workflows:\n\
          \x20 generate           synthesize an .fvecs dataset + queries\n\
          \x20 ground-truth       exact top-k for a query file\n\
-         \x20 build              build an IVF-RaBitQ index from .fvecs\n\
+         \x20 build              build an IVF-RaBitQ index from .fvecs;\n\
+         \x20                    --dense picks the paper's O(D^2) Haar rotation\n\
+         \x20                    over the default O(D log D) Hadamard one\n\
+         \x20                    (graph-build takes it too)\n\
          \x20 search             query an IVF-RaBitQ index file\n\
          \x20 info               print an index file's parameters\n\
          \x20 graph-build        build a Graph-RaBitQ (HNSW) index\n\
@@ -153,7 +156,7 @@ pub fn usage() -> String {
 }
 
 /// Flags that are switches: present or absent, no value token.
-const BOOLEAN_FLAGS: &[&str] = &["hadamard", "seal"];
+const BOOLEAN_FLAGS: &[&str] = &["dense", "seal"];
 
 /// Parsed `--key value` flags.
 struct Flags {
@@ -271,22 +274,30 @@ fn cmd_ground_truth(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// The quantizer settings `build` and `graph-build` share: the library
+/// defaults, overridden by `--bq`, `--epsilon0`, `--seed`, and `--dense`
+/// (the paper's O(D²) Haar rotation in place of the default Hadamard one).
+fn rabitq_config(flags: &Flags) -> Result<RabitqConfig, String> {
+    let defaults = RabitqConfig::default();
+    Ok(RabitqConfig {
+        bq: flags.usize_or("bq", defaults.bq as usize)? as u8,
+        epsilon0: flags.f32_or("epsilon0", defaults.epsilon0)?,
+        seed: flags.u64_or("seed", defaults.seed)?,
+        rotator: if flags.flag_present("dense") {
+            RotatorKind::DenseOrthogonal
+        } else {
+            defaults.rotator
+        },
+        padded_dim: None,
+    })
+}
+
 fn cmd_build(flags: &Flags) -> Result<(), String> {
     let (data, dim) = read_fvecs_checked(&flags.path("data")?)?;
     let n = data.len() / dim;
     let clusters = flags.usize_or("clusters", IvfConfig::clusters_for(n))?;
     let out = flags.path("out")?;
-    let config = RabitqConfig {
-        bq: flags.usize_or("bq", 4)? as u8,
-        epsilon0: flags.f32_or("epsilon0", 1.9)?,
-        seed: flags.u64_or("seed", 0x5EED_AB17)?,
-        rotator: if flags.flag_present("hadamard") {
-            RotatorKind::RandomizedHadamard
-        } else {
-            RotatorKind::DenseOrthogonal
-        },
-        padded_dim: None,
-    };
+    let config = rabitq_config(flags)?;
     let mut sw = Stopwatch::new();
     sw.start();
     let index = IvfRabitq::build(&data, dim, &IvfConfig::new(clusters), config);
@@ -380,17 +391,7 @@ fn cmd_graph_build(flags: &Flags) -> Result<(), String> {
             ef_construction: flags.usize_or("ef-construction", 500)?,
             seed: flags.u64_or("seed", 0x4452)?,
         },
-        rabitq: RabitqConfig {
-            bq: flags.usize_or("bq", 4)? as u8,
-            epsilon0: flags.f32_or("epsilon0", 1.9)?,
-            seed: flags.u64_or("seed", 0x5EED_AB17)?,
-            rotator: if flags.flag_present("hadamard") {
-                RotatorKind::RandomizedHadamard
-            } else {
-                RotatorKind::DenseOrthogonal
-            },
-            padded_dim: None,
-        },
+        rabitq: rabitq_config(flags)?,
         rerank: GraphRerank::ErrorBound,
         centroids: flags.usize_or("centroids", 1)?,
     };
@@ -565,10 +566,13 @@ fn cmd_verify(flags: &Flags) -> Result<(), String> {
     let dir = flags.path("dir")?;
     let manifest =
         Manifest::load(&dir.join(MANIFEST_FILE)).map_err(|e| io_err("loading manifest", e))?;
+    let rabitq = &manifest.rabitq;
     println!(
-        "verifying {} : D = {}, {} segment(s), wal floor {}",
+        "verifying {} : D = {}, rotator {:?}, {}-bit codes, {} segment(s), wal floor {}",
         dir.display(),
         manifest.dim,
+        rabitq.rotator,
+        rabitq.rotator.code_length(manifest.dim, rabitq.padded_dim),
         manifest.segments.len(),
         manifest.wal_floor
     );
@@ -895,6 +899,25 @@ mod tests {
         ]))
         .unwrap();
         run(&args(&["info", "--index", index.to_str().unwrap()])).unwrap();
+
+        // `build` takes the library's rotator; `--dense` is the opt-out,
+        // recorded in the index file (and searchable like any other).
+        let built = |path: &Path| IvfRabitq::load(path).unwrap().quantizer().config().rotator;
+        assert_eq!(built(&index), RabitqConfig::default().rotator);
+        let dense = dir.join("dense.rbq");
+        run(&args(&[
+            "build",
+            "--data",
+            data.to_str().unwrap(),
+            "--clusters",
+            "8",
+            "--dense",
+            "--out",
+            dense.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert_eq!(built(&dense), RotatorKind::DenseOrthogonal);
+        assert!(usage().contains("--dense"));
 
         // The results file holds 5 queries × 10 ids.
         let (ids, k) = io::read_ivecs(&results).unwrap();

@@ -34,9 +34,11 @@ use crate::rotation::{Rotator, RotatorKind};
 use rabitq_math::vecs;
 use rand::Rng;
 
-/// Configuration of a [`Rabitq`] quantizer. The defaults are the paper's:
-/// `B_q = 4`, `ε₀ = 1.9`, dense Haar-orthogonal rotation, code length equal
-/// to the smallest multiple of 64 ≥ `dim`.
+/// Configuration of a [`Rabitq`] quantizer. `B_q = 4` and `ε₀ = 1.9` are
+/// the paper's; the default rotation is the O(D log D) randomized Hadamard
+/// transform, whose code length is the smallest power of two ≥ `dim` (at
+/// least 64). Set `rotator` to [`RotatorKind::DenseOrthogonal`] for the
+/// paper's Haar matrix and its multiple-of-64 code length.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RabitqConfig {
     /// Query quantization bits `B_q` (Theorem 3.3; 4 in practice).
@@ -47,8 +49,9 @@ pub struct RabitqConfig {
     pub rotator: RotatorKind,
     /// Seed for sampling the rotation.
     pub seed: u64,
-    /// Code length override (`None` = next multiple of 64 ≥ `dim`). Longer
-    /// codes — the paper's zero-padding trick — trade space for accuracy.
+    /// Code length override (`None` = next multiple of 64 ≥ `dim`; the
+    /// Hadamard rotator rounds either up to a power of two). Longer codes —
+    /// the paper's zero-padding trick — trade space for accuracy.
     pub padded_dim: Option<usize>,
 }
 
@@ -57,7 +60,7 @@ impl Default for RabitqConfig {
         Self {
             bq: 4,
             epsilon0: 1.9,
-            rotator: RotatorKind::DenseOrthogonal,
+            rotator: RotatorKind::RandomizedHadamard,
             seed: 0x5EED_AB17,
             padded_dim: None,
         }
@@ -201,7 +204,7 @@ impl Rabitq {
     /// Prepares a query from pre-rotated pieces: `rotated_query = P⁻¹·q_r`
     /// and `rotated_centroid = P⁻¹·c`. This is the IVF fast path — the
     /// query is rotated once, and each probed cluster only pays an O(B)
-    /// subtraction instead of an O(B²) rotation.
+    /// subtraction instead of another rotation.
     pub fn prepare_query_prerotated<R: Rng + ?Sized>(
         &self,
         rotated_query: &[f32],
@@ -446,9 +449,9 @@ mod tests {
         let mut batch = Vec::new();
         q.estimate_batch(&prepared, &packed, &codes, &mut batch);
         assert_eq!(batch.len(), 70);
-        for i in 0..70 {
+        for (i, &b) in batch.iter().enumerate().take(70) {
             let single = q.estimate(&prepared, &codes, i);
-            assert_eq!(single, batch[i], "code {i}");
+            assert_eq!(single, b, "code {i}");
         }
     }
 
@@ -636,26 +639,31 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_rotator_produces_comparable_accuracy() {
+    fn both_rotator_kinds_produce_comparable_accuracy() {
         let dim = 128;
-        let cfg = RabitqConfig {
-            rotator: RotatorKind::RandomizedHadamard,
-            ..RabitqConfig::default()
-        };
-        let q = Rabitq::new(dim, cfg);
         let data = make_data(60, dim, 13);
         let centroid = vec![0.0f32; dim];
-        let codes = q.encode_set(data.iter().map(|v| v.as_slice()), &centroid);
-        let mut rng = StdRng::seed_from_u64(14);
-        let query_vec = standard_normal_vec(&mut rng, dim);
-        let prepared = q.prepare_query(&query_vec, &centroid, &mut rng);
-        let mut err = 0.0f64;
-        for (i, v) in data.iter().enumerate() {
-            let est = q.estimate(&prepared, &codes, i);
-            let exact = vecs::l2_sq(v, &query_vec);
-            err += ((est.dist_sq - exact).abs() / exact) as f64;
+        for rotator in [
+            RotatorKind::DenseOrthogonal,
+            RotatorKind::RandomizedHadamard,
+        ] {
+            let cfg = RabitqConfig {
+                rotator,
+                ..RabitqConfig::default()
+            };
+            let q = Rabitq::new(dim, cfg);
+            let codes = q.encode_set(data.iter().map(|v| v.as_slice()), &centroid);
+            let mut rng = StdRng::seed_from_u64(14);
+            let query_vec = standard_normal_vec(&mut rng, dim);
+            let prepared = q.prepare_query(&query_vec, &centroid, &mut rng);
+            let mut err = 0.0f64;
+            for (i, v) in data.iter().enumerate() {
+                let est = q.estimate(&prepared, &codes, i);
+                let exact = vecs::l2_sq(v, &query_vec);
+                err += ((est.dist_sq - exact).abs() / exact) as f64;
+            }
+            let avg = err / data.len() as f64;
+            assert!(avg < 0.35, "{rotator:?}: average relative error {avg}");
         }
-        let avg = err / data.len() as f64;
-        assert!(avg < 0.35, "average relative error {avg}");
     }
 }

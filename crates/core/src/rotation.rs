@@ -9,15 +9,20 @@
 //!
 //! Two implementations are provided:
 //!
-//! * [`RotatorKind::DenseOrthogonal`] — the paper's construction: a sampled
-//!   Haar-orthogonal matrix applied in O(D²);
-//! * [`RotatorKind::RandomizedHadamard`] — the O(D log D) structured JLT
-//!   `(H·Dᵢ)³` used by production ports (Lucene, Milvus); statistically it
-//!   behaves like a Haar rotation for the quantities RaBitQ depends on.
+//! * [`RotatorKind::RandomizedHadamard`] — the default: the O(D log D)
+//!   structured JLT `(H·Dᵢ)³` used by production ports (Lucene, Milvus);
+//!   statistically it behaves like a Haar rotation for the quantities
+//!   RaBitQ depends on (`tests/statistical.rs` holds both kinds to the
+//!   same bias and bound checks);
+//! * [`RotatorKind::DenseOrthogonal`] — the paper's construction and the
+//!   statistical reference: a sampled Haar-orthogonal matrix applied in
+//!   O(D²), and D² floats to store.
 //!
 //! Both map `dim`-dimensional input to `padded_dim ≥ dim` output, where
 //! `padded_dim` is the code length `B` (a multiple of 64 so codes pack into
-//! `u64` words; the paper pads with zeros the same way, Section 5.1).
+//! `u64` words; the paper pads with zeros the same way, Section 5.1). The
+//! Hadamard transform needs a power of two, so it pads further: 960 → 1024
+//! bits, 768 → 1024, 100 → 128.
 
 use rabitq_math::hadamard::{fwht_normalized, SignDiagonal};
 use rabitq_math::orthogonal::random_orthogonal;
@@ -28,11 +33,12 @@ use rand::SeedableRng;
 /// Which rotation construction to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RotatorKind {
-    /// Dense Haar-orthogonal matrix (the paper's default). O(D²) per apply.
+    /// Dense Haar-orthogonal matrix — the paper's construction. O(D²) per
+    /// apply and D² floats per persisted rotator.
     DenseOrthogonal,
-    /// Three rounds of sign-flip + normalized Walsh–Hadamard. O(D log D)
-    /// per apply; requires the padded dimension to be a power of two and
-    /// pads further if necessary.
+    /// Three rounds of sign-flip + normalized Walsh–Hadamard — the default
+    /// of [`crate::RabitqConfig`]. O(D log D) per apply; requires the
+    /// padded dimension to be a power of two and pads further if necessary.
     RandomizedHadamard,
     /// No rotation (zero-padding only): the *deterministic* hypercube
     /// codebook `C` of Eq. 3. Exists for the Appendix F.1 ablation — it
@@ -62,6 +68,20 @@ pub fn default_padded_dim(dim: usize) -> usize {
     dim.div_ceil(64) * 64
 }
 
+impl RotatorKind {
+    /// The code length `B` a rotator of this kind gets for `dim`-dimensional
+    /// input: `padded_dim` (`None` = [`default_padded_dim`]), which the
+    /// Hadamard construction rounds up to a power of two. This is what
+    /// [`Rotator::sample`] allocates, computable without sampling.
+    pub fn code_length(self, dim: usize, padded_dim: Option<usize>) -> usize {
+        let padded = padded_dim.unwrap_or_else(|| default_padded_dim(dim));
+        match self {
+            RotatorKind::RandomizedHadamard => padded.next_power_of_two(),
+            RotatorKind::DenseOrthogonal | RotatorKind::Identity => padded,
+        }
+    }
+}
+
 impl Rotator {
     /// Samples a rotator for `dim`-dimensional input.
     ///
@@ -73,25 +93,23 @@ impl Rotator {
     /// Panics if `dim == 0` or `padded_dim < dim`.
     pub fn sample(kind: RotatorKind, dim: usize, padded_dim: Option<usize>, seed: u64) -> Self {
         assert!(dim > 0, "dimension must be positive");
-        let mut padded = padded_dim.unwrap_or_else(|| default_padded_dim(dim));
-        assert!(padded >= dim, "padded_dim {padded} < dim {dim}");
+        let requested = padded_dim.unwrap_or_else(|| default_padded_dim(dim));
+        assert!(requested >= dim, "padded_dim {requested} < dim {dim}");
         assert!(
-            padded.is_multiple_of(64),
+            requested.is_multiple_of(64),
             "padded_dim must be a multiple of 64"
         );
+        let padded = kind.code_length(dim, Some(requested));
         let mut rng = StdRng::seed_from_u64(seed);
         let imp = match kind {
             RotatorKind::DenseOrthogonal => RotatorImpl::Dense(random_orthogonal(&mut rng, padded)),
-            RotatorKind::RandomizedHadamard => {
-                padded = padded.next_power_of_two();
-                RotatorImpl::Hadamard {
-                    diagonals: [
-                        SignDiagonal::random(&mut rng, padded),
-                        SignDiagonal::random(&mut rng, padded),
-                        SignDiagonal::random(&mut rng, padded),
-                    ],
-                }
-            }
+            RotatorKind::RandomizedHadamard => RotatorImpl::Hadamard {
+                diagonals: [
+                    SignDiagonal::random(&mut rng, padded),
+                    SignDiagonal::random(&mut rng, padded),
+                    SignDiagonal::random(&mut rng, padded),
+                ],
+            },
             RotatorKind::Identity => RotatorImpl::Identity,
         };
         Self {

@@ -53,8 +53,8 @@ proptest! {
         let mut out = Vec::new();
         packed.scan_all(&lut, &mut out);
         prop_assert_eq!(out.len(), n);
-        for i in 0..n {
-            prop_assert_eq!(out[i], ip_code_query(set.code_bits(i), &query));
+        for (i, &o) in out.iter().enumerate().take(n) {
+            prop_assert_eq!(o, ip_code_query(set.code_bits(i), &query));
         }
     }
 

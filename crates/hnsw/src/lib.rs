@@ -516,10 +516,10 @@ mod tests {
         let ds = small_dataset(30, 8);
         let index = Hnsw::build(&ds.data, ds.dim, test_config());
         let gt = exact_knn(&ds.data, ds.dim, &ds.queries, 5, 1);
-        for qi in 0..ds.n_queries() {
+        for (qi, truth) in gt.iter().enumerate().take(ds.n_queries()) {
             let got = index.search(ds.query(qi), 5, 50);
             let got_ids: Vec<u32> = got.iter().map(|&(id, _)| id).collect();
-            let want_ids: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+            let want_ids: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
             assert_eq!(got_ids, want_ids, "query {qi}");
         }
     }
@@ -530,10 +530,10 @@ mod tests {
         let index = Hnsw::build(&ds.data, ds.dim, test_config());
         let gt = exact_knn(&ds.data, ds.dim, &ds.queries, 10, 1);
         let mut total = 0.0;
-        for qi in 0..ds.n_queries() {
+        for (qi, truth) in gt.iter().enumerate().take(ds.n_queries()) {
             let got = index.search(ds.query(qi), 10, 120);
             let got_ids: Vec<u32> = got.iter().map(|&(id, _)| id).collect();
-            let want_ids: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+            let want_ids: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
             total += recall(&want_ids, &got_ids);
         }
         let avg = total / ds.n_queries() as f64;
@@ -547,10 +547,10 @@ mod tests {
         let gt = exact_knn(&ds.data, ds.dim, &ds.queries, 10, 1);
         let recall_at = |ef: usize| -> f64 {
             let mut total = 0.0;
-            for qi in 0..ds.n_queries() {
+            for (qi, truth) in gt.iter().enumerate().take(ds.n_queries()) {
                 let got = index.search(ds.query(qi), 10, ef);
                 let got_ids: Vec<u32> = got.iter().map(|&(id, _)| id).collect();
-                let want_ids: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+                let want_ids: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
                 total += recall(&want_ids, &got_ids);
             }
             total / ds.n_queries() as f64

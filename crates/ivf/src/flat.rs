@@ -257,10 +257,10 @@ mod tests {
         let gt = exact_knn(&ds.data, ds.dim, &ds.queries, 10, 1);
         let mut rng = StdRng::seed_from_u64(1);
         let mut total = 0.0;
-        for qi in 0..ds.n_queries() {
+        for (qi, truth) in gt.iter().enumerate().take(ds.n_queries()) {
             let res = index.search(ds.query(qi), 10, &mut rng);
             let got: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
-            let want: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+            let want: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
             total += recall_at_k(&want, &got);
         }
         assert!(total / ds.n_queries() as f64 > 0.99);

@@ -415,7 +415,7 @@ mod tests {
                 "blob {blob} split across clusters"
             );
         }
-        let mut distinct: Vec<u32> = labels.iter().copied().collect();
+        let mut distinct: Vec<u32> = labels.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(distinct.len(), 3);

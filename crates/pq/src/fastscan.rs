@@ -191,10 +191,10 @@ mod tests {
         let f32_luts = pq.build_luts(&query);
         let mut est = Vec::new();
         packed.scan_all(&qluts, &mut est);
-        for i in 0..codes.len() {
+        for (i, e) in est.iter().enumerate().take(codes.len()) {
             let exact_adc = pq.adc_distance(&f32_luts, codes.code(i));
-            let rel = (est[i] - exact_adc).abs() / (1.0 + exact_adc);
-            assert!(rel < 0.05, "code {i}: {} vs {exact_adc}", est[i]);
+            let rel = (e - exact_adc).abs() / (1.0 + exact_adc);
+            assert!(rel < 0.05, "code {i}: {} vs {exact_adc}", e);
         }
     }
 
@@ -225,9 +225,9 @@ mod tests {
         // *small* segments: compare against the exact f32 ADC, excluding
         // the bias the large segment would dominate anyway.
         let mut max_abs_err = 0.0f32;
-        for i in 0..codes.len() {
+        for (i, e) in est.iter().enumerate().take(codes.len()) {
             let exact_adc = pq.adc_distance(&f32_luts, codes.code(i));
-            max_abs_err = max_abs_err.max((est[i] - exact_adc).abs());
+            max_abs_err = max_abs_err.max((e - exact_adc).abs());
         }
         // The u8 step is max_range/255 with max_range ~ (100σ)² ≈ 4·10⁴,
         // so single-segment errors are already ~100s.

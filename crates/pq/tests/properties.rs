@@ -81,11 +81,11 @@ proptest! {
         let f32_luts = pq.build_luts(&query);
         let mut est = Vec::new();
         packed.scan_all(&qluts, &mut est);
-        for i in 0..codes.len() {
+        for (i, e) in est.iter().enumerate().take(codes.len()) {
             let exact = pq.adc_distance(&f32_luts, codes.code(i));
             let bound = pq.m() as f32 * qluts.scale + 1e-3;
-            prop_assert!((est[i] - exact).abs() <= bound,
-                "code {}: |{} - {}| > {}", i, est[i], exact, bound);
+            prop_assert!((e - exact).abs() <= bound,
+                "code {}: |{} - {}| > {}", i, e, exact, bound);
         }
     }
 

@@ -513,11 +513,11 @@ mod tests {
             1e-10,
             1.7976931348623157e308,
             5e-324,
-            123456789.123456789,
+            123_456_789.123_456_79,
         ] {
             let encoded = Json::Num(n).encode();
             let back = Json::parse(&encoded).unwrap().as_f64().unwrap();
-            assert_eq!(back.to_bits(), (n as f64).to_bits(), "{n} -> {encoded}");
+            assert_eq!(back.to_bits(), n.to_bits(), "{n} -> {encoded}");
         }
     }
 

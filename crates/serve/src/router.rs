@@ -123,10 +123,13 @@ fn stats(state: &ServerState) -> Response {
                 let snapshot = served.reader.snapshot();
                 let health = served.reader.health();
                 let store = served.reader.metrics();
+                let rabitq = served.reader.rabitq();
                 (
                     name.clone(),
                     json_obj! {
                         "dim" => snapshot.dim(),
+                        "rotator" => format!("{:?}", rabitq.rotator),
+                        "code_bits" => rabitq.rotator.code_length(snapshot.dim(), rabitq.padded_dim),
                         "live_vectors" => snapshot.len(),
                         "segments" => snapshot.n_segments(),
                         "memtable_rows" => snapshot.memtable_len(),

@@ -231,7 +231,7 @@ fn saturation_sheds_429_and_shutdown_drains() {
             );
             if resp.status == 200 {
                 // An admitted search was fully answered despite shutdown.
-                assert!(!resp.json().get("neighbors").is_none());
+                assert!(resp.json().get("neighbors").is_some());
             }
         }
         // None = the connection was still queued (never read) when the

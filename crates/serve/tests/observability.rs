@@ -11,8 +11,10 @@ use std::time::Duration;
 
 #[test]
 fn metrics_scrape_under_live_traffic_is_valid_exposition_text() {
-    let mut config = ServeConfig::default();
-    config.workers = 4;
+    let config = ServeConfig {
+        workers: 4,
+        ..ServeConfig::default()
+    };
     let (server, dir) = start_server("metrics", config);
     let addr = server.addr();
 
@@ -137,9 +139,11 @@ fn debug_timings_flag_adds_a_stage_breakdown() {
 
 #[test]
 fn slow_query_log_and_stats_surface_store_metrics_and_events() {
-    let mut config = ServeConfig::default();
-    config.slow_query_ms = 1;
-    config.events_capacity = 8;
+    let mut config = ServeConfig {
+        slow_query_ms: 1,
+        events_capacity: 8,
+        ..ServeConfig::default()
+    };
     // A lone batched search waits out the whole linger before dispatch,
     // so every request below is "slow" however fast the engine answers.
     config.batch.linger = Duration::from_millis(3);
@@ -161,6 +165,12 @@ fn slow_query_log_and_stats_surface_store_metrics_and_events() {
         .get("collections")
         .and_then(|c| c.get("test"))
         .unwrap();
+    // The operator can see which rotation each collection pays for.
+    assert_eq!(
+        coll.get("rotator").and_then(Json::as_str),
+        Some("RandomizedHadamard")
+    );
+    assert_eq!(coll.get("code_bits").and_then(Json::as_u64), Some(64));
     let store = coll.get("store").expect("store metrics in /stats");
     // The seeded collection WAL'd 64 inserts and sealed at least once.
     assert_eq!(store.get("wal_appends").and_then(Json::as_u64), Some(64));

@@ -627,6 +627,7 @@ impl Collection {
         CollectionReader {
             slot: self.slot.clone(),
             dim: self.config.dim,
+            rabitq: self.config.rabitq,
             health: self.health.clone(),
             metrics: self.metrics.clone(),
         }

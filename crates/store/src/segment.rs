@@ -184,6 +184,12 @@ impl Segment {
         &self.name
     }
 
+    /// The segment's inner index, addressed by local ids (row `i` of the
+    /// segment; [`Segment::live_entries`] maps rows to global ids).
+    pub fn index(&self) -> &IvfRabitq {
+        &self.index
+    }
+
     /// Total rows, live and tombstoned.
     pub fn len(&self) -> usize {
         self.ids.len()

@@ -46,6 +46,7 @@ use crate::memtable::Memtable;
 use crate::observe::StoreMetrics;
 use crate::pool::WorkerPool;
 use crate::segment::Segment;
+use rabitq_core::RabitqConfig;
 use rabitq_ivf::{CancelToken, SearchResult, SearchScratch, TopK};
 use rabitq_metrics::{Stage, StageNanos};
 use rand::rngs::StdRng;
@@ -409,6 +410,7 @@ impl SnapshotSlot {
 pub struct CollectionReader {
     pub(crate) slot: Arc<SnapshotSlot>,
     pub(crate) dim: usize,
+    pub(crate) rabitq: RabitqConfig,
     pub(crate) health: Arc<HealthState>,
     pub(crate) metrics: Arc<StoreMetrics>,
 }
@@ -418,6 +420,14 @@ impl CollectionReader {
     #[inline]
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// The quantizer configuration every segment of this collection is
+    /// built with — the manifest's, fixed for the collection's lifetime
+    /// (so `rotator` says whether searches pay the O(D²) dense rotation).
+    #[inline]
+    pub fn rabitq(&self) -> &RabitqConfig {
+        &self.rabitq
     }
 
     /// A point-in-time copy of the collection's health flags (degraded /

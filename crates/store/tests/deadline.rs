@@ -7,7 +7,7 @@
 use rabitq_store::{CancelToken, Collection, CollectionConfig, ParallelOptions, SearchOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const DIM: usize = 8;
@@ -20,7 +20,7 @@ fn test_dir(name: &str) -> PathBuf {
 
 /// A collection with several sealed segments plus memtable rows, so the
 /// cancellable fan-out crosses every checkpoint kind.
-fn populated(dir: &PathBuf) -> Collection {
+fn populated(dir: &Path) -> Collection {
     let mut config = CollectionConfig::new(DIM);
     config.memtable_capacity = 16;
     config.auto_compact = false;

@@ -1,5 +1,6 @@
 //! Collection lifecycle: open → write → crash → replay → compact → search.
 
+use rabitq_core::RotatorKind;
 use rabitq_store::{Collection, CollectionConfig, Segment, Wal, MANIFEST_FILE, WAL_FILE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -233,6 +234,9 @@ fn quantizer_config_persists_through_open_existing() {
     config.rabitq.bq = 6;
     config.rabitq.epsilon0 = 2.5;
     config.rabitq.seed = 0xC0FFEE;
+    // Not the default: what a collection created before the default
+    // became Hadamard carries in its manifest.
+    config.rabitq.rotator = RotatorKind::DenseOrthogonal;
     {
         let mut c = Collection::open(&dir, config).unwrap();
         let data = gaussian(30, dim, 11);
@@ -248,12 +252,17 @@ fn quantizer_config_persists_through_open_existing() {
     assert_eq!(c.config().rabitq.bq, 6);
     assert_eq!(c.config().rabitq.epsilon0, 2.5);
     assert_eq!(c.config().rabitq.seed, 0xC0FFEE);
+    assert_eq!(c.config().rabitq.rotator, RotatorKind::DenseOrthogonal);
     assert_eq!(c.config().memtable_capacity, 25);
 
     // An explicit open with a different quantizer config is overridden by
     // the manifest (segments were built with the stored one).
     let other = Collection::open(&dir, small_config(dim, 99)).unwrap();
     assert_eq!(other.config().rabitq.bq, 6);
+    assert_eq!(
+        other.reader().rabitq().rotator,
+        RotatorKind::DenseOrthogonal
+    );
     assert_eq!(other.config().memtable_capacity, 99); // runtime knob wins
     std::fs::remove_dir_all(&dir).ok();
 }

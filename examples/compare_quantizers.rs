@@ -52,10 +52,10 @@ fn main() {
     let rabitq = Rabitq::new(dim, RabitqConfig::default());
     let codes = rabitq.encode_set((0..n).map(|i| ds.vector(i)), &centroid);
     let mut err = RelativeErrorStats::new();
-    for qi in 0..n_queries {
+    for (qi, exact_row) in exact.iter().enumerate().take(n_queries) {
         let prepared = rabitq.prepare_query(ds.query(qi), &centroid, &mut rng);
-        for i in 0..n {
-            err.record(rabitq.estimate(&prepared, &codes, i).dist_sq, exact[qi][i]);
+        for (i, &want) in exact_row.iter().enumerate().take(n) {
+            err.record(rabitq.estimate(&prepared, &codes, i).dist_sq, want);
         }
     }
     report("RaBitQ", rabitq.padded_dim(), &err);
@@ -82,25 +82,25 @@ fn main() {
     let packed = PqPacked::pack(&pq_codes);
     let mut err = RelativeErrorStats::new();
     let mut est = Vec::new();
-    for qi in 0..n_queries {
+    for (qi, exact_row) in exact.iter().enumerate().take(n_queries) {
         let mut rq = ds.query(qi).to_vec();
         vecs::sub_assign(&mut rq, &centroid);
         let qluts = QuantizedLuts::build(&pq, &rq);
         packed.scan_all(&qluts, &mut est);
-        for i in 0..n {
-            err.record(est[i], exact[qi][i]);
+        for (&got, &want) in est.iter().zip(exact_row).take(n) {
+            err.record(got, want);
         }
     }
     report("PQx4fs (u8 LUTs)", 4 * pq.m(), &err);
 
     // ---- Same PQ, exact f32 LUTs (the x8-style read-out). ----
     let mut err = RelativeErrorStats::new();
-    for qi in 0..n_queries {
+    for (qi, exact_row) in exact.iter().enumerate().take(n_queries) {
         let mut rq = ds.query(qi).to_vec();
         vecs::sub_assign(&mut rq, &centroid);
         let luts = pq.build_luts(&rq);
-        for i in 0..n {
-            err.record(pq.adc_distance(&luts, pq_codes.code(i)), exact[qi][i]);
+        for (i, &want) in exact_row.iter().enumerate().take(n) {
+            err.record(pq.adc_distance(&luts, pq_codes.code(i)), want);
         }
     }
     report("PQx4 (f32 LUTs)", 4 * pq.m(), &err);
@@ -119,10 +119,10 @@ fn main() {
     let aq_codes = aq.encode_set((0..n).map(|i| ds.vector(i)));
     let aq_packed = PqPacked::pack(&aq_codes.codes);
     let mut err = RelativeErrorStats::new();
-    for qi in 0..n_queries {
+    for (qi, exact_row) in exact.iter().enumerate().take(n_queries) {
         aq.fastscan_distances(ds.query(qi), &aq_packed, &aq_codes, &mut est);
-        for i in 0..n {
-            err.record(est[i], exact[qi][i]);
+        for (&got, &want) in est.iter().zip(exact_row).take(n) {
+            err.record(got, want);
         }
     }
     report("LSQ(AQ)x4fs", 4 * aq.m(), &err);

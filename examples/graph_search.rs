@@ -46,9 +46,9 @@ fn main() {
         let mut recall_exact = 0.0;
         let mut recall_quantized = 0.0;
         let (mut est, mut rer) = (0usize, 0usize);
-        for qi in 0..n_queries {
+        for (qi, truth) in gt.iter().enumerate().take(n_queries) {
             let query = ds.query(qi);
-            let want: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+            let want: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
 
             let exact: Vec<u32> = index
                 .search_exact(query, k, ef)

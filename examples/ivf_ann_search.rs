@@ -46,12 +46,12 @@ fn main() {
         let mut recall = 0.0;
         let mut scanned = 0usize;
         let mut reranked = 0usize;
-        for qi in 0..n_queries {
+        for (qi, truth) in gt.iter().enumerate().take(n_queries) {
             sw.start();
             let res = index.search(ds.query(qi), k, nprobe, &mut rng);
             sw.stop();
             let got: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
-            let want: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+            let want: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
             recall += recall_at_k(&want, &got);
             scanned += res.n_estimated;
             reranked += res.n_reranked;

@@ -35,9 +35,9 @@ fn main() {
     let prepared = quantizer.prepare_query(&query, &centroid, &mut rng);
 
     println!("\n  id  estimated-dist^2  true-dist^2  rel-err   CI covers truth?");
-    for i in 0..8 {
+    for (i, row) in data.iter().enumerate().take(8) {
         let est = quantizer.estimate(&prepared, &codes, i);
-        let exact = vecs::l2_sq(&data[i], &query);
+        let exact = vecs::l2_sq(row, &query);
         let rel = (est.dist_sq - exact).abs() / exact;
         let covered = est.lower_bound <= exact;
         println!(

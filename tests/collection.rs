@@ -96,7 +96,7 @@ fn multi_segment_search_matches_single_index_contract() {
     let mut rng_a = StdRng::seed_from_u64(3);
     let mut rng_b = StdRng::seed_from_u64(3);
     let (mut recall_multi, mut recall_single) = (0.0f64, 0.0f64);
-    for qi in 0..ds.n_queries() {
+    for (qi, truth) in gt.iter().enumerate().take(ds.n_queries()) {
         let a = c.search(ds.query(qi), 10, 1024, &mut rng_a);
         let b = single.search(ds.query(qi), 10, 1024, &mut rng_b);
         // Same shape and invariants...
@@ -108,7 +108,7 @@ fn multi_segment_search_matches_single_index_contract() {
             let exact = rabitq::math::vecs::l2_sq(ds.vector(id as usize), ds.query(qi));
             assert!((d - exact).abs() < 1e-4, "id {id}: {d} vs {exact}");
         }
-        let want: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+        let want: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
         let got_a: Vec<u32> = a.neighbors.iter().map(|&(id, _)| id).collect();
         let got_b: Vec<u32> = b.neighbors.iter().map(|&(id, _)| id).collect();
         recall_multi += recall_at_k(&want, &got_a);
@@ -203,10 +203,10 @@ fn compaction_preserves_survivor_recall() {
     let mut rng_a = StdRng::seed_from_u64(5);
     let mut rng_b = StdRng::seed_from_u64(5);
     let (mut recall_c, mut recall_f) = (0.0f64, 0.0f64);
-    for qi in 0..ds.n_queries() {
+    for (qi, truth) in gt.iter().enumerate().take(ds.n_queries()) {
         // Ground truth over `survivors` is 0-based; collection ids are
         // offset by the 300 deleted rows.
-        let want: Vec<u32> = gt[qi].iter().map(|&(id, _)| id + 300).collect();
+        let want: Vec<u32> = truth.iter().map(|&(id, _)| id + 300).collect();
         let a = c.search(ds.query(qi), 10, 64, &mut rng_a);
         let got: Vec<u32> = a.neighbors.iter().map(|&(id, _)| id).collect();
         assert!(
@@ -215,7 +215,7 @@ fn compaction_preserves_survivor_recall() {
         );
         recall_c += recall_at_k(&want, &got);
 
-        let want_f: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+        let want_f: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
         let b = fresh.search(ds.query(qi), 10, 64, &mut rng_b);
         let got_f: Vec<u32> = b.neighbors.iter().map(|&(id, _)| id).collect();
         recall_f += recall_at_k(&want_f, &got_f);

@@ -21,9 +21,9 @@ fn batch_and_single_estimates_are_bit_identical_on_real_workloads() {
             let prepared = q.prepare_query(ds.query(qi), &centroid, &mut rng);
             let mut batch = Vec::new();
             q.estimate_batch(&prepared, &packed, &codes, &mut batch);
-            for i in 0..ds.n() {
+            for (i, &b) in batch.iter().enumerate().take(ds.n()) {
                 let single = q.estimate(&prepared, &codes, i);
-                assert_eq!(single, batch[i], "{}: query {qi}, code {i}", ds.name);
+                assert_eq!(single, b, "{}: query {qi}, code {i}", ds.name);
             }
         }
     }
@@ -77,9 +77,9 @@ fn ivf_error_bound_search_is_consistent_with_exhaustive_topk() {
     let mut rng = StdRng::seed_from_u64(3);
     let mut mismatches = 0usize;
     let mut total = 0usize;
-    for qi in 0..ds.n_queries() {
+    for (qi, truth) in gt.iter().enumerate().take(ds.n_queries()) {
         let res = index.search(ds.query(qi), 10, 10, &mut rng);
-        for (got, want) in res.neighbors.iter().zip(gt[qi].iter()) {
+        for (got, want) in res.neighbors.iter().zip(truth.iter()) {
             total += 1;
             if got.0 != want.0 {
                 mismatches += 1;
@@ -133,7 +133,7 @@ fn epsilon_zero_and_large_epsilon_bracket_the_default() {
     let recall_at = |eps: f32| -> f64 {
         let mut rng = StdRng::seed_from_u64(6);
         let mut total = 0.0;
-        for qi in 0..ds.n_queries() {
+        for (qi, truth) in gt.iter().enumerate().take(ds.n_queries()) {
             let res = index.search_with(
                 ds.query(qi),
                 20,
@@ -142,7 +142,7 @@ fn epsilon_zero_and_large_epsilon_bracket_the_default() {
                 &mut rng,
             );
             let got: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
-            let want: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+            let want: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
             total += rabitq::metrics::recall_at_k(&want, &got);
         }
         total / ds.n_queries() as f64

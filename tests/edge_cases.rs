@@ -95,11 +95,11 @@ fn high_dimensional_smoke_near_fastscan_u16_limit() {
     let centroid = vec![0.0f32; dim];
     let codes = q.encode_set(data.chunks_exact(dim), &centroid);
     let packed = q.pack(&codes);
-    let prepared = q.prepare_query(&data[..dim].to_vec(), &centroid, &mut rng);
+    let prepared = q.prepare_query(&data[..dim], &centroid, &mut rng);
     let mut batch = Vec::new();
     q.estimate_batch(&prepared, &packed, &codes, &mut batch);
-    for i in 0..40 {
-        assert_eq!(q.estimate(&prepared, &codes, i), batch[i], "code {i}");
+    for (i, &b) in batch.iter().enumerate().take(40) {
+        assert_eq!(q.estimate(&prepared, &codes, i), b, "code {i}");
     }
     // Self-distance estimate should be near zero relative to typical
     // distances (~2·D).

@@ -21,10 +21,10 @@ fn avg_recall_rabitq(
 ) -> f64 {
     let mut rng = StdRng::seed_from_u64(1);
     let mut total = 0.0;
-    for qi in 0..ds.n_queries() {
+    for (qi, truth) in gt.iter().enumerate().take(ds.n_queries()) {
         let res = index.search(ds.query(qi), k, nprobe, &mut rng);
         let got: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
-        let want: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+        let want: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
         total += recall_at_k(&want, &got);
     }
     total / ds.n_queries() as f64
@@ -39,10 +39,10 @@ fn avg_recall_pq(
     rerank: usize,
 ) -> f64 {
     let mut total = 0.0;
-    for qi in 0..ds.n_queries() {
+    for (qi, truth) in gt.iter().enumerate().take(ds.n_queries()) {
         let res = index.search(ds.query(qi), k, nprobe, rerank, ScanMode::FastScanBatch);
         let got: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
-        let want: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+        let want: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
         total += recall_at_k(&want, &got);
     }
     total / ds.n_queries() as f64
@@ -184,7 +184,7 @@ fn hnsw_and_ivf_agree_on_easy_queries() {
         },
     );
     let mut rng = StdRng::seed_from_u64(6);
-    for qi in 0..ds.n_queries() {
+    for (qi, truth) in gt.iter().enumerate().take(ds.n_queries()) {
         let ivf_ids: Vec<u32> = ivf
             .search(ds.query(qi), 5, 12, &mut rng)
             .neighbors
@@ -196,7 +196,7 @@ fn hnsw_and_ivf_agree_on_easy_queries() {
             .iter()
             .map(|&(id, _)| id)
             .collect();
-        let want: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+        let want: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
         assert!(recall_at_k(&want, &ivf_ids) >= 0.8, "query {qi} (ivf)");
         assert!(recall_at_k(&want, &hnsw_ids) >= 0.8, "query {qi} (hnsw)");
     }

@@ -51,8 +51,8 @@ fn graph_rabitq_tracks_exact_traversal() {
     let (mut r_exact, mut r_quant) = (0.0, 0.0);
     let (mut est, mut rer) = (0usize, 0usize);
     let ef = 96;
-    for qi in 0..nq {
-        let want: Vec<u32> = gt[qi].iter().map(|&(id, _)| id).collect();
+    for (qi, truth) in gt.iter().enumerate().take(nq) {
+        let want: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
         let exact: Vec<u32> = index
             .search_exact(ds.query(qi), k, ef)
             .iter()
