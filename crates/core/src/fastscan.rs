@@ -25,7 +25,9 @@
 //!
 //! The environment variable `RABITQ_FORCE_KERNEL=scalar|avx2|avx512|neon`
 //! overrides the automatic choice (differential tests and benches use it);
-//! forcing a kernel the host cannot run panics at first use.
+//! forcing a kernel the host cannot run panics at first use. `scalar` also
+//! pins the float `l2_sq` / `dot` kernels of `rabitq_math::simd` to their
+//! portable reference.
 
 use crate::code::CodeSet;
 use crate::query::QuantizedQuery;

@@ -43,6 +43,12 @@ pub fn active_kernel() -> &'static str {
     crate::fastscan::raw::active_kernel().name()
 }
 
+/// The float `l2_sq` / `dot` kernel of `rabitq_math::simd` this process
+/// runs: `"avx2"`, or `"portable"` (also under `RABITQ_FORCE_KERNEL=scalar`).
+pub fn active_distance_kernel() -> &'static str {
+    rabitq_math::simd::active_kernel().name()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,5 +69,7 @@ mod tests {
         }
         assert!(cores() >= 1);
         assert!(!active_kernel().is_empty());
+        let distance = active_distance_kernel();
+        assert!(distance == "portable" || feats.contains(&distance));
     }
 }

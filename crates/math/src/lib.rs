@@ -19,6 +19,7 @@ pub mod matrix;
 pub mod orthogonal;
 pub mod polar;
 pub mod rng;
+pub mod simd;
 pub mod special;
 pub mod vecs;
 

@@ -1,33 +1,22 @@
 //! Vector kernels over `&[f32]` slices.
 //!
-//! The reductions iterate over `zip`-ed slices so the compiler can elide
-//! bounds checks and auto-vectorize; the distance/inner-product kernels are
-//! the innermost loops of every index in the workspace.
+//! [`l2_sq`] and [`dot`] — the innermost loops of the coarse probe, the
+//! re-rank, the memtable scan and k-means — run the explicit kernels of
+//! [`crate::simd`], which give the same bits on every ISA. The element-wise
+//! helpers iterate over `zip`-ed slices and are left to the compiler.
+
+use crate::simd;
 
 /// Inner product of two equal-length vectors, accumulated in `f32`.
 ///
 /// This is the throughput kernel used inside scans; for statistically
 /// sensitive accumulations over long vectors prefer [`dot_f64`].
+///
+/// # Panics
+/// If the lengths differ.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    // Four independent partial sums break the additive dependency chain,
-    // which lets LLVM keep several FMA pipes busy.
-    let mut acc = [0.0f32; 4];
-    let chunks = a.len() / 4;
-    let (a4, a_rest) = a.split_at(chunks * 4);
-    let (b4, b_rest) = b.split_at(chunks * 4);
-    for (ca, cb) in a4.chunks_exact(4).zip(b4.chunks_exact(4)) {
-        acc[0] += ca[0] * cb[0];
-        acc[1] += ca[1] * cb[1];
-        acc[2] += ca[2] * cb[2];
-        acc[3] += ca[3] * cb[3];
-    }
-    let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (x, y) in a_rest.iter().zip(b_rest.iter()) {
-        sum += x * y;
-    }
-    sum
+    simd::dot(simd::active_kernel(), a, b)
 }
 
 /// Inner product accumulated in `f64` for numerically sensitive reductions.
@@ -41,29 +30,12 @@ pub fn dot_f64(a: &[f32], b: &[f32]) -> f64 {
 }
 
 /// Squared Euclidean distance `‖a − b‖²`.
+///
+/// # Panics
+/// If the lengths differ.
 #[inline]
 pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; 4];
-    let chunks = a.len() / 4;
-    let (a4, a_rest) = a.split_at(chunks * 4);
-    let (b4, b_rest) = b.split_at(chunks * 4);
-    for (ca, cb) in a4.chunks_exact(4).zip(b4.chunks_exact(4)) {
-        let d0 = ca[0] - cb[0];
-        let d1 = ca[1] - cb[1];
-        let d2 = ca[2] - cb[2];
-        let d3 = ca[3] - cb[3];
-        acc[0] += d0 * d0;
-        acc[1] += d1 * d1;
-        acc[2] += d2 * d2;
-        acc[3] += d3 * d3;
-    }
-    let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (x, y) in a_rest.iter().zip(b_rest.iter()) {
-        let d = x - y;
-        sum += d * d;
-    }
-    sum
+    simd::l2_sq(simd::active_kernel(), a, b)
 }
 
 /// Euclidean norm `‖a‖`.

@@ -2,7 +2,7 @@
 //!
 //! | Route | Method | Body | Response |
 //! |---|---|---|---|
-//! | `/healthz` | GET | — | `{"status":"ok"|"degraded"|"draining","read_only":…,"degraded":…,"draining":…,"uptime_ms":…,"version":…,"kernel":…}` |
+//! | `/healthz` | GET | — | `{"status":"ok"|"degraded"|"draining","read_only":…,"degraded":…,"draining":…,"uptime_ms":…,"version":…,"kernel":…,"distance_kernel":…}` |
 //! | `/stats` | GET | — | metrics + per-collection sizes, health, store counters, event journal |
 //! | `/metrics` | GET | — | Prometheus text exposition (`text/plain; version=0.0.4`) |
 //! | `/collections/:name/search` | POST | `{"vector":[…], "k"?, "nprobe"?, "mode"?, "timeout_ms"?}` | `{"neighbors":[{"id","distance"}…],…}`; `?debug=timings` adds `timings_us` |
@@ -109,7 +109,8 @@ fn healthz(state: &ServerState) -> Response {
         "draining" => draining,
         "uptime_ms" => state.started.elapsed().as_millis() as u64,
         "version" => env!("CARGO_PKG_VERSION"),
-        "kernel" => hw::active_kernel()
+        "kernel" => hw::active_kernel(),
+        "distance_kernel" => hw::active_distance_kernel()
     };
     Response::json(200, body.encode())
 }
@@ -422,9 +423,10 @@ fn metrics_text(state: &ServerState) -> Response {
     let cores = hw::cores().to_string();
     enc.info(
         "rabitq_kernel_info",
-        "Active fastscan kernel and detected CPU features.",
+        "Active fastscan and float-distance kernels, detected CPU features.",
         &[
             ("kernel", hw::active_kernel()),
+            ("distance_kernel", hw::active_distance_kernel()),
             ("cpu_features", &features),
             ("cores", &cores),
         ],

@@ -76,6 +76,7 @@ fn metrics_scrape_under_live_traffic_is_valid_exposition_text() {
         "rabitq_events_recorded_total{collection=\"test\"}",
         "rabitq_build_info{version=\"",
         "rabitq_kernel_info{",
+        "distance_kernel=\"",
     ] {
         assert!(scrape.body.contains(needle), "missing {needle:?}");
     }
@@ -227,6 +228,11 @@ fn healthz_reports_uptime_version_and_kernel() {
         ["scalar", "avx2", "avx512", "neon"].contains(&kernel),
         "unexpected kernel {kernel:?}"
     );
+    let distance_kernel = body.get("distance_kernel").and_then(Json::as_str).unwrap();
+    assert_eq!(distance_kernel, rabitq_core::hw::active_distance_kernel());
+    if std::env::var("RABITQ_FORCE_KERNEL").is_ok_and(|name| name.trim() == "scalar") {
+        assert_eq!((kernel, distance_kernel), ("scalar", "portable"));
+    }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
