@@ -80,6 +80,7 @@ fn main() {
             .map(|nbrs| nbrs.iter().map(|&(id, _)| id + n_dead).collect())
             .collect();
 
+        let reader = collection.reader();
         let mut table = Table::new(&["engine", "segments", "QPS", "recall@k", "rerank/query"]);
         let measure =
             |label: &str,
@@ -116,7 +117,7 @@ fn main() {
             "collection (pre-compact)",
             collection.n_segments(),
             &mut table,
-            &mut |q, rng| collection.search(q, k, nprobe, rng),
+            &mut |q, rng| reader.search(q, k, nprobe, rng),
         );
 
         let mut sw = Stopwatch::new();
@@ -128,7 +129,7 @@ fn main() {
             "collection (compacted)",
             collection.n_segments(),
             &mut table,
-            &mut |q, rng| collection.search(q, k, nprobe, rng),
+            &mut |q, rng| reader.search(q, k, nprobe, rng),
         );
 
         // Monolithic baseline: fresh build over exactly the live rows.

@@ -19,9 +19,9 @@ use rabitq_bench::{Args, Table};
 use rabitq_core::RabitqConfig;
 use rabitq_data::exact_knn;
 use rabitq_data::registry::PaperDataset;
-use rabitq_ivf::{IvfConfig, IvfPq, IvfRabitq, RerankStrategy, ScanMode};
+use rabitq_ivf::{IvfConfig, IvfRabitq, RerankStrategy};
 use rabitq_metrics::{recall_at_k, Stopwatch};
-use rabitq_pq::PqConfig;
+use rabitq_pq::{IvfPq, PqConfig, ScanMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -21,10 +21,10 @@ use rabitq_core::RabitqConfig;
 use rabitq_data::registry::PaperDataset;
 use rabitq_data::{exact_knn, Neighbors};
 use rabitq_hnsw::{Hnsw, HnswConfig};
-use rabitq_ivf::{IvfConfig, IvfPq, IvfRabitq, ScanMode};
+use rabitq_ivf::{IvfConfig, IvfRabitq};
 use rabitq_math::vecs;
 use rabitq_metrics::{average_distance_ratio, recall_at_k, Stopwatch};
-use rabitq_pq::PqConfig;
+use rabitq_pq::{IvfPq, PqConfig, ScanMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -681,6 +681,7 @@ fn cmd_collection_search(flags: &Flags) -> Result<(), String> {
         all_ids.extend(ids.iter().map(|&id| id as i32));
         per_query_ids.push(ids);
     };
+    let snapshot = collection.snapshot();
     let mode;
     if threads > 1 {
         // Batch engine: one search_many call over the whole query file,
@@ -688,7 +689,7 @@ fn cmd_collection_search(flags: &Flags) -> Result<(), String> {
         mode = format!("batch x{threads}");
         sw.start();
         let opts = ParallelOptions { threads, seed };
-        let results = collection.search_many(&queries, k, nprobe, opts);
+        let results = snapshot.search_many(&queries, k, nprobe, opts);
         sw.stop();
         results.into_iter().for_each(&mut record);
     } else {
@@ -696,7 +697,7 @@ fn cmd_collection_search(flags: &Flags) -> Result<(), String> {
         let mut rng = StdRng::seed_from_u64(seed);
         for q in queries.chunks_exact(qdim) {
             sw.start();
-            let res = collection.search(q, k, nprobe, &mut rng);
+            let res = snapshot.search(q, k, nprobe, &mut rng);
             sw.stop();
             record(res);
         }

@@ -104,12 +104,6 @@ impl CodeSet {
         self.padded_dim
     }
 
-    /// Number of `u64` words per code.
-    #[inline]
-    pub fn words_per_code(&self) -> usize {
-        self.words_per_code
-    }
-
     /// Appends a code. `bits` must hold exactly `padded_dim / 64` words.
     pub fn push(&mut self, bits: &[u64], norm: f32, ip_oo: f32) {
         assert_eq!(bits.len(), self.words_per_code, "code word count");

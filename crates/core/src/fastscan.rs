@@ -340,7 +340,7 @@ pub mod raw {
         }
 
         /// Inverse of [`Kernel::name`].
-        pub fn from_name(s: &str) -> Option<Self> {
+        fn from_name(s: &str) -> Option<Self> {
             match s {
                 "scalar" => Some(Kernel::Scalar),
                 "avx2" => Some(Kernel::Avx2),
@@ -354,7 +354,7 @@ pub mod raw {
     /// Kernels compiled into this binary, in ascending ISA-capability
     /// order (the automatic dispatch preference is [`active_kernel`]'s,
     /// which is not simply "most capable").
-    pub fn compiled_kernels() -> &'static [Kernel] {
+    fn compiled_kernels() -> &'static [Kernel] {
         #[cfg(target_arch = "x86_64")]
         {
             &[Kernel::Scalar, Kernel::Avx2, Kernel::Avx512]
@@ -370,7 +370,7 @@ pub mod raw {
     }
 
     /// Whether the running CPU can execute `kernel`.
-    pub fn kernel_supported(kernel: Kernel) -> bool {
+    fn kernel_supported(kernel: Kernel) -> bool {
         match kernel {
             Kernel::Scalar => true,
             Kernel::Avx2 => {
@@ -503,7 +503,7 @@ pub mod raw {
 
     /// [`select_scan_u8`] plus the [`Kernel`] the pointer belongs to.
     #[inline]
-    pub fn select_scan_u8_tagged(segments: usize, max_entry: u32) -> (Kernel, ScanU8Fn) {
+    pub(super) fn select_scan_u8_tagged(segments: usize, max_entry: u32) -> (Kernel, ScanU8Fn) {
         select_for(active_kernel(), segments, max_entry)
     }
 
@@ -599,7 +599,7 @@ pub mod raw {
     }
 
     /// Portable scalar scan against `u16` LUTs (wide query quantization).
-    pub fn scan_u16(block: &[u8], lut: &[u16], segments: usize, out: &mut [u32; BLOCK]) {
+    pub(super) fn scan_u16(block: &[u8], lut: &[u16], segments: usize, out: &mut [u32; BLOCK]) {
         out.fill(0);
         for s in 0..segments {
             let codes = &block[s * 16..s * 16 + 16];
@@ -609,12 +609,6 @@ pub mod raw {
                 out[j + 16] += table[(byte >> 4) as usize] as u32;
             }
         }
-    }
-
-    /// Runtime AVX2 detection (kept for callers that predate [`Kernel`]).
-    #[inline]
-    pub fn avx2_available() -> bool {
-        kernel_supported(Kernel::Avx2)
     }
 
     /// Adds one segment's LUT contributions into `out` — the scalar tail

@@ -11,7 +11,7 @@ use crate::query::QuantizedQuery;
 
 /// AND + popcount over two equal-length word slices.
 #[inline]
-pub fn and_popcount(a: &[u64], b: &[u64]) -> u32 {
+fn and_popcount(a: &[u64], b: &[u64]) -> u32 {
     debug_assert_eq!(a.len(), b.len());
     a.iter()
         .zip(b.iter())

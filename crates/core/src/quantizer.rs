@@ -269,11 +269,6 @@ impl Rabitq {
         PackedCodes::pack(set)
     }
 
-    /// Builds the per-query fast-scan LUTs.
-    pub fn build_lut(&self, query: &QuantizedQuery) -> Lut {
-        Lut::build(query)
-    }
-
     /// Serializes the quantizer: configuration plus the sampled rotation
     /// (the rotation *must* be persisted — resampling from the seed is
     /// only equivalent for the same library version, and codes are
@@ -328,8 +323,8 @@ impl Rabitq {
         self.estimate_batch_with_epsilon(query, packed, set, self.config.epsilon0, out);
     }
 
-    /// [`Rabitq::estimate_batch`] with an explicit `ε₀` (Figure 5 sweep).
-    pub fn estimate_batch_with_epsilon(
+    /// [`Rabitq::estimate_batch`] with an explicit `ε₀`.
+    fn estimate_batch_with_epsilon(
         &self,
         query: &QuantizedQuery,
         packed: &PackedCodes,
@@ -341,8 +336,8 @@ impl Rabitq {
         self.estimate_batch_with_lut(query, &lut, packed, set, epsilon0, out);
     }
 
-    /// [`Rabitq::estimate_batch_with_epsilon`] against a caller-provided
-    /// LUT (normally [`QueryScratch::lut`], built once per probe by
+    /// [`Rabitq::estimate_batch`] with an explicit `ε₀` and a
+    /// caller-provided LUT (normally [`QueryScratch::lut`], built once per probe by
     /// [`Rabitq::prepare_query_prerotated_into`]). `out` is sized with a
     /// single `resize` and then overwritten in place, so a reused buffer
     /// at steady state is written exactly once per element and the call

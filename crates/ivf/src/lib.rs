@@ -1,23 +1,22 @@
 //! # rabitq-ivf — in-memory ANN indexes
 //!
-//! The application layer of the paper (Section 4): inverted-file indexes
-//! pairing a KMeans coarse quantizer with
+//! The application layer of the paper (Section 4): [`IvfRabitq`], an
+//! inverted-file index pairing a KMeans coarse quantizer with RaBitQ codes
+//! per bucket, the rotate-once query path, and **error-bound-based
+//! re-ranking** (no tuning parameter). [`FlatMips`] carries the same
+//! bound-gated re-rank over to inner-product and cosine search.
 //!
-//! * [`IvfRabitq`] — RaBitQ codes per bucket, the rotate-once query path,
-//!   and **error-bound-based re-ranking** (no tuning parameter);
-//! * [`IvfPq`] — the PQ/OPQ baseline with residual encoding, f32 or
-//!   u8-fast-scan LUT scans, and conventional fixed-count re-ranking.
+//! This crate is part of the engine: the collection engine and the server
+//! build on it. The PQ/OPQ baseline index (`IvfPq`) lives in `rabitq-pq`,
+//! which depends on this crate for [`IvfConfig`], [`SearchResult`] and
+//! [`TopK`], never the reverse.
 
 pub mod cancel;
 pub mod common;
-pub mod flat;
 pub mod mips;
-pub mod pq_ivf;
 pub mod rabitq_ivf;
 
 pub use cancel::CancelToken;
 pub use common::{IvfConfig, RerankStrategy, SearchResult, TopK};
-pub use flat::{FlatRabitq, RangeResult};
 pub use mips::{FlatMips, MipsResult};
-pub use pq_ivf::{IvfPq, PqVariant, ScanMode};
 pub use rabitq_ivf::{IvfRabitq, SearchScratch};

@@ -236,7 +236,7 @@ impl IvfRabitq {
 
     /// Number of tombstoned vectors.
     #[inline]
-    pub fn n_deleted(&self) -> usize {
+    fn n_deleted(&self) -> usize {
         self.n_deleted.load(Ordering::Relaxed)
     }
 
@@ -511,28 +511,6 @@ impl IvfRabitq {
         vecs::l2_sq(&self.data[base..base + self.dim], query)
     }
 
-    /// Inserts one vector into the index, returning its id. The vector is
-    /// assigned to the nearest existing centroid (centroids are not
-    /// re-trained — standard IVF practice for streaming ingest; rebuild
-    /// periodically if the distribution drifts) and its bucket's fast-scan
-    /// pack is refreshed.
-    pub fn insert(&mut self, vector: &[f32]) -> u32 {
-        assert_eq!(vector.len(), self.dim, "vector dimensionality");
-        let id = self.len() as u32;
-        let (c, _) = self.coarse.assign(vector);
-        self.data.extend_from_slice(vector);
-        let bucket = &mut self.buckets[c];
-        self.quantizer
-            .encode_into(vector, self.coarse.centroid(c), &mut bucket.codes);
-        bucket.ids.push(id);
-        bucket.packed = self.quantizer.pack(&bucket.codes);
-        let words = self.len().div_ceil(64);
-        if self.deleted.len() < words {
-            self.deleted.resize_with(words, || AtomicU64::new(0));
-        }
-        id
-    }
-
     /// Saves the index to a file (see [`IvfRabitq::write`]).
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
         let file = std::fs::File::create(path)?;
@@ -627,6 +605,26 @@ impl IvfRabitq {
             return Err(p::invalid("raw data buffer shape"));
         }
         let n = data.len() / dim;
+        // The buckets must partition `0..n`: an id past the end could never
+        // be found (it reads as tombstoned), and an id in two buckets would
+        // be re-ranked twice and answered twice.
+        let mut seen = vec![0u64; n.div_ceil(64)];
+        let mut listed = 0usize;
+        for id in buckets.iter().flat_map(|b| &b.ids) {
+            let id = *id as usize;
+            if id >= n {
+                return Err(p::invalid(format!("bucket id {id} out of range 0..{n}")));
+            }
+            let (word, bit) = (id / 64, 1u64 << (id % 64));
+            if seen[word] & bit != 0 {
+                return Err(p::invalid(format!("bucket id {id} listed twice")));
+            }
+            seen[word] |= bit;
+            listed += 1;
+        }
+        if listed != n {
+            return Err(p::invalid(format!("buckets list {listed} of {n} ids")));
+        }
         let deleted = p::read_u64_vec(&mut *r)?;
         if deleted.len() != n.div_ceil(64) {
             return Err(p::invalid("tombstone bitmap shape"));
@@ -845,74 +843,31 @@ mod tests {
     }
 
     #[test]
-    fn inserted_vectors_are_immediately_searchable() {
-        let ds = dataset(400, 16);
-        let mut index = build(&ds, 4);
-        let mut rng = StdRng::seed_from_u64(9);
-        // Insert a vector identical to the query: it must come back as
-        // the top result with distance ~0.
-        let probe = ds.query(0).to_vec();
-        let new_id = index.insert(&probe);
-        assert_eq!(new_id as usize, 400);
-        let res = index.search(&probe, 3, 4, &mut rng);
-        assert_eq!(res.neighbors[0].0, new_id);
-        assert!(res.neighbors[0].1 < 1e-6);
-    }
-
-    #[test]
-    fn insert_matches_batch_build_semantics() {
-        // Building over n vectors and building over n−10 then inserting 10
-        // must agree on search results (same centroids ⇒ same codes).
-        let ds = dataset(300, 16);
-        let full = build(&ds, 4);
-        let partial_data = &ds.data[..290 * 16];
-        let ivf_cfg = IvfConfig::new(4);
-        let mut incremental =
-            IvfRabitq::build(partial_data, ds.dim, &ivf_cfg, RabitqConfig::default());
-        for i in 290..300 {
-            incremental.insert(ds.vector(i));
-        }
-        assert_eq!(incremental.len(), full.len());
-        let mut rng_a = StdRng::seed_from_u64(10);
-        let mut rng_b = StdRng::seed_from_u64(10);
-        for qi in 0..ds.n_queries() {
-            let a = full.search(ds.query(qi), 5, 4, &mut rng_a);
-            let b = incremental.search(ds.query(qi), 5, 4, &mut rng_b);
-            let ids_a: Vec<u32> = a.neighbors.iter().map(|&(id, _)| id).collect();
-            let ids_b: Vec<u32> = b.neighbors.iter().map(|&(id, _)| id).collect();
-            // KMeans saw slightly different data, so allow near-identical
-            // rather than exact: overlap ≥ 4 of 5.
-            let overlap = ids_a.iter().filter(|id| ids_b.contains(id)).count();
-            assert!(overlap >= 4, "query {qi}: {ids_a:?} vs {ids_b:?}");
-        }
-    }
-
-    #[test]
     fn removed_vectors_vanish_from_search_immediately() {
         let ds = dataset(400, 16);
-        let mut index = build(&ds, 4);
+        let index = build(&ds, 4);
         let mut rng = StdRng::seed_from_u64(9);
-        // Insert a vector identical to the query, confirm it wins, then
-        // tombstone it: the next search must not return it, under every
-        // re-ranking strategy.
-        let probe = ds.query(0).to_vec();
-        let new_id = index.insert(&probe);
+        // Query with a stored vector, confirm it wins, then tombstone it:
+        // the next search must not return it, under every re-ranking
+        // strategy.
+        let victim = 123u32;
+        let probe = ds.vector(victim as usize).to_vec();
         let res = index.search(&probe, 3, 4, &mut rng);
-        assert_eq!(res.neighbors[0].0, new_id);
+        assert_eq!(res.neighbors[0].0, victim);
 
-        assert!(index.remove(new_id));
-        assert!(index.is_deleted(new_id));
-        assert_eq!(index.n_live(), 400);
+        assert!(index.remove(victim));
+        assert!(index.is_deleted(victim));
+        assert_eq!(index.n_live(), 399);
         for strategy in ALL_STRATEGIES {
             let res = index.search_with(&probe, 3, 4, strategy, &mut rng);
             assert_eq!(res.neighbors.len(), 3);
             assert!(
-                res.neighbors.iter().all(|&(id, _)| id != new_id),
+                res.neighbors.iter().all(|&(id, _)| id != victim),
                 "{strategy:?} returned a tombstoned id"
             );
         }
         // Double-remove and out-of-range are clean no-ops.
-        assert!(!index.remove(new_id));
+        assert!(!index.remove(victim));
         assert!(!index.remove(10_000));
         assert_eq!(index.n_deleted(), 1);
     }
@@ -937,6 +892,52 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let res = loaded.search(ds.vector(77), 5, 4, &mut rng);
         assert!(res.neighbors.iter().all(|&(id, _)| id != 77));
+    }
+
+    #[test]
+    fn read_rejects_bucket_ids_that_do_not_partition_the_rows() {
+        // Re-serialise with one bucket id rewritten: the code count still
+        // equals the id count, so only the partition check can catch it.
+        fn reread(index: &mut IvfRabitq, id: u32) -> std::io::Error {
+            let full = index
+                .buckets
+                .iter()
+                .position(|b| !b.ids.is_empty())
+                .unwrap();
+            let old = std::mem::replace(&mut index.buckets[full].ids[0], id);
+            let mut bytes = Vec::new();
+            index.write(&mut bytes).unwrap();
+            index.buckets[full].ids[0] = old;
+            match IvfRabitq::read(&mut bytes.as_slice()) {
+                Ok(_) => panic!("bucket id {id} accepted"),
+                Err(e) => e,
+            }
+        }
+        let ds = dataset(300, 16);
+        let mut index = build(&ds, 4);
+        let mut bytes = Vec::new();
+        index.write(&mut bytes).unwrap();
+        assert!(IvfRabitq::read(&mut bytes.as_slice()).is_ok());
+
+        let last = index
+            .buckets
+            .iter()
+            .rev()
+            .find_map(|b| b.ids.last())
+            .copied();
+        let duplicate = reread(&mut index, last.unwrap());
+        assert_eq!(duplicate.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            duplicate.to_string().contains("listed twice"),
+            "{duplicate}"
+        );
+
+        let out_of_range = reread(&mut index, 300);
+        assert_eq!(out_of_range.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            out_of_range.to_string().contains("out of range"),
+            "{out_of_range}"
+        );
     }
 
     #[test]

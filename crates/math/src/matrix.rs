@@ -140,7 +140,7 @@ impl Matrix {
     }
 
     /// `selfᵀ · other` without materializing the transpose.
-    pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+    fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_tn: inner dimensions");
         let mut out = Matrix::zeros(self.cols, other.cols);
         for r in 0..self.rows {

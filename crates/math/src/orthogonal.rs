@@ -18,7 +18,7 @@ use rand::Rng;
 /// # Panics
 /// Panics if a row degenerates to (numerically) zero, which for Gaussian
 /// inputs happens with probability 0.
-pub fn gram_schmidt_rows(m: &mut Matrix) {
+fn gram_schmidt_rows(m: &mut Matrix) {
     let n = m.rows();
     let cols = m.cols();
     for i in 0..n {

@@ -11,7 +11,7 @@ use crate::matrix::Matrix;
 
 /// Inverts a square matrix with Gauss–Jordan elimination and partial
 /// pivoting. Returns `None` if the matrix is numerically singular.
-pub fn invert(m: &Matrix) -> Option<Matrix> {
+fn invert(m: &Matrix) -> Option<Matrix> {
     assert_eq!(m.rows(), m.cols(), "invert: matrix must be square");
     let n = m.rows();
     // Work in f64: the Newton iteration amplifies f32 round-off on

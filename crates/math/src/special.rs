@@ -9,7 +9,7 @@
 ///
 /// Accurate to ~1e-13 relative error for positive arguments, which is far
 /// beyond what the verification experiments need.
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_9,
         676.520_368_121_885_1,

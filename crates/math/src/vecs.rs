@@ -115,21 +115,6 @@ pub fn normalize(a: &mut [f32]) -> f32 {
     n
 }
 
-/// Index of the minimum value; ties resolve to the lowest index.
-///
-/// Returns `None` on an empty slice.
-#[inline]
-pub fn argmin(values: &[f32]) -> Option<usize> {
-    let mut best: Option<(usize, f32)> = None;
-    for (i, &v) in values.iter().enumerate() {
-        match best {
-            Some((_, bv)) if bv <= v => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 /// Minimum and maximum of a non-empty slice.
 #[inline]
 pub fn min_max(values: &[f32]) -> (f32, f32) {
@@ -201,12 +186,6 @@ mod tests {
         let n = normalize(&mut v);
         assert_eq!(n, 0.0);
         assert!(v.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn argmin_picks_first_of_ties() {
-        assert_eq!(argmin(&[3.0, 1.0, 1.0, 2.0]), Some(1));
-        assert_eq!(argmin(&[]), None);
     }
 
     #[test]

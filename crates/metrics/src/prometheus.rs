@@ -50,7 +50,7 @@ pub struct PromEncoder {
 
 /// Escapes a label value per the text format: `\` → `\\`, `"` → `\"`,
 /// newline → `\n`.
-pub fn escape_label_value(v: &str) -> String {
+fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {

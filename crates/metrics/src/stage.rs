@@ -145,12 +145,6 @@ impl StageTimers {
     pub fn hist(&self, stage: Stage) -> &LatencyHistogram {
         &self.hists[stage.index()]
     }
-
-    /// Sum of recorded microseconds across every stage — the "total time
-    /// attributed to stages" side of the edge-latency reconciliation.
-    pub fn total_us(&self) -> u64 {
-        Stage::ALL.iter().map(|&s| self.hist(s).sum_us()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -201,6 +195,5 @@ mod tests {
         assert_eq!(t.hist(Stage::Rotate).sum_us(), 2);
         assert_eq!(t.hist(Stage::Scan).sum_us(), 10);
         assert_eq!(t.hist(Stage::Merge).sum_us(), 0);
-        assert_eq!(t.total_us(), 12);
     }
 }

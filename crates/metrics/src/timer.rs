@@ -8,7 +8,6 @@ use std::time::{Duration, Instant};
 pub struct Stopwatch {
     elapsed: Duration,
     started: Option<Instant>,
-    laps: u64,
 }
 
 impl Stopwatch {
@@ -23,13 +22,12 @@ impl Stopwatch {
         self.started = Some(Instant::now());
     }
 
-    /// Stops the current interval, accumulating its duration and counting
-    /// one lap. A stop without a start is a no-op.
+    /// Stops the current interval, accumulating its duration. A stop
+    /// without a start is a no-op.
     #[inline]
     pub fn stop(&mut self) {
         if let Some(t0) = self.started.take() {
             self.elapsed += t0.elapsed();
-            self.laps += 1;
         }
     }
 
@@ -37,12 +35,6 @@ impl Stopwatch {
     #[inline]
     pub fn elapsed(&self) -> Duration {
         self.elapsed
-    }
-
-    /// Number of completed start/stop laps.
-    #[inline]
-    pub fn laps(&self) -> u64 {
-        self.laps
     }
 
     /// Average nanoseconds per `items` units of work done in the
@@ -78,12 +70,14 @@ mod tests {
     #[test]
     fn accumulates_across_laps() {
         let mut sw = Stopwatch::new();
+        let mut before = Duration::ZERO;
         for _ in 0..3 {
             sw.start();
             std::hint::black_box((0..1000).sum::<u64>());
             sw.stop();
+            assert!(sw.elapsed() >= before, "laps accumulate");
+            before = sw.elapsed();
         }
-        assert_eq!(sw.laps(), 3);
         assert!(sw.elapsed() > Duration::ZERO);
     }
 
@@ -91,7 +85,6 @@ mod tests {
     fn stop_without_start_is_noop() {
         let mut sw = Stopwatch::new();
         sw.stop();
-        assert_eq!(sw.laps(), 0);
         assert_eq!(sw.elapsed(), Duration::ZERO);
     }
 

@@ -12,10 +12,10 @@
 //! is the hyper-parameter the paper shows no single value of which works
 //! across datasets (Section 5.2.3).
 
-use crate::common::{IvfConfig, SearchResult, TopK};
+use crate::{Opq, OpqConfig, PqCodes, PqConfig, PqPacked, ProductQuantizer, QuantizedLuts};
+use rabitq_ivf::{IvfConfig, SearchResult, TopK};
 use rabitq_kmeans::{train as kmeans_train, KMeans, KMeansConfig};
 use rabitq_math::vecs;
-use rabitq_pq::{Opq, OpqConfig, PqCodes, PqConfig, PqPacked, ProductQuantizer, QuantizedLuts};
 
 /// Which PQ flavour encodes the residuals.
 pub enum PqVariant {

@@ -157,11 +157,6 @@ impl<S: Read + Write> HttpConn<S> {
         }
     }
 
-    /// The underlying stream.
-    pub fn stream_mut(&mut self) -> &mut S {
-        &mut self.stream
-    }
-
     /// Reads (or finishes reading) one request. `max_body` bounds
     /// `Content-Length`; oversized requests are rejected with `413`
     /// without reading their body.

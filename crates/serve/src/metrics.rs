@@ -126,7 +126,7 @@ impl ServerMetrics {
     }
 
     /// The non-empty `[size, count]` pairs of the batch-size histogram.
-    pub fn batch_histogram(&self) -> Vec<(usize, u64)> {
+    fn batch_histogram(&self) -> Vec<(usize, u64)> {
         self.batch_sizes
             .iter()
             .enumerate()

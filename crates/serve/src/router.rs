@@ -599,6 +599,7 @@ fn search(state: &ServerState, served: &ServedCollection, req: &Request) -> Resp
                     };
                     let outcome = served
                         .reader
+                        .snapshot()
                         .search_many_cancellable(&query, k, nprobe, opts, &token)
                         .pop()
                         .expect("one query, one outcome");

@@ -54,8 +54,8 @@
 //! (exact scan) and every segment (the paper's error-bound re-ranked
 //! search); the per-source candidates — all carrying **exact** distances
 //! — k-way-merge through the same [`rabitq_ivf::TopK`] used inside the
-//! IVF index. The result is contract-identical to [`IvfRabitq::search`]:
-//! exact squared distances, ascending.
+//! IVF index. The result is contract-identical to
+//! [`rabitq_ivf::IvfRabitq::search`]: exact squared distances, ascending.
 //!
 //! Because readers run entirely on their snapshot, they proceed
 //! concurrently with `insert`/`seal`/`compact`: the writer does its
@@ -71,11 +71,10 @@ use crate::manifest::{Manifest, SegmentMeta, MANIFEST_FILE};
 use crate::memtable::Memtable;
 use crate::observe::StoreMetrics;
 use crate::segment::Segment;
-use crate::snapshot::{CollectionReader, ParallelOptions, Snapshot, SnapshotSlot};
+use crate::snapshot::{CollectionReader, Snapshot, SnapshotSlot};
 use crate::wal::{Wal, WalRecord};
 use rabitq_core::RabitqConfig;
-use rabitq_ivf::{IvfConfig, IvfRabitq, SearchResult};
-use rand::Rng;
+use rabitq_ivf::IvfConfig;
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -703,34 +702,6 @@ impl Collection {
         Ok(true)
     }
 
-    /// Searches across memtable and all segments. Exact squared distances,
-    /// ascending — the same contract as [`IvfRabitq::search`]. Runs on the
-    /// current snapshot, so it proceeds concurrently with writer work
-    /// happening through other handles.
-    pub fn search<R: Rng + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        rng: &mut R,
-    ) -> SearchResult {
-        self.snapshot().search(query, k, nprobe, rng)
-    }
-
-    /// Batch search with optional multi-threaded execution: `queries` is a
-    /// flat `n × dim` buffer, the result is one [`SearchResult`] per query
-    /// in query order, bit-identical for every `opts.threads` (see
-    /// [`Snapshot::search_many`]).
-    pub fn search_many(
-        &self,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        opts: ParallelOptions,
-    ) -> Vec<SearchResult> {
-        self.snapshot().search_many(queries, k, nprobe, opts)
-    }
-
     /// Seals the memtable into a new immutable segment (no-op when empty).
     /// Ordering is the crash-safety contract: segment file → manifest
     /// switch → WAL reset. In-memory state only changes once both durable
@@ -771,7 +742,7 @@ impl Collection {
 
     /// Runs the configured policy; merges whatever it picks. Returns
     /// whether a merge happened.
-    pub fn maybe_compact(&mut self) -> Result<bool, StoreError> {
+    fn maybe_compact(&mut self) -> Result<bool, StoreError> {
         let stats: Vec<SegmentStats> = self
             .segments
             .iter()
@@ -917,21 +888,5 @@ impl Collection {
             self.io.remove_file(&self.dir.join(file)).ok();
         }
         Ok(bytes.len() as u64)
-    }
-
-    /// Builds a throwaway [`IvfRabitq`] over the collection's current live
-    /// rows — the "fresh rebuild" baseline used by benchmarks and the
-    /// compaction acceptance test. Returns the index and the global id of
-    /// each of its rows.
-    pub fn to_flat_index(&self) -> Option<(IvfRabitq, Vec<u32>)> {
-        let segment_rows = self.segments.iter().flat_map(|s| s.live_entries());
-        let (ids, data) = flatten(segment_rows.chain(self.memtable.entries()));
-        if ids.is_empty() {
-            return None;
-        }
-        let mut ivf = self.config.ivf.clone();
-        ivf.n_clusters = IvfConfig::clusters_for(ids.len()).min(ids.len());
-        let index = IvfRabitq::build(&data, self.config.dim, &ivf, self.config.rabitq);
-        Some((index, ids))
     }
 }

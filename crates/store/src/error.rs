@@ -94,7 +94,7 @@ impl HealthState {
 
     /// Whether the collection opened with pieces missing (quarantined
     /// segments) but keeps serving the rest.
-    pub fn is_degraded(&self) -> bool {
+    fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::Acquire)
     }
 

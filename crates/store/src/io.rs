@@ -352,7 +352,8 @@ impl FaultIo {
     }
 
     /// The `"index: operation"` log, for diagnosing a failing matrix cell.
-    pub fn op_log(&self) -> Vec<String> {
+    #[cfg(test)]
+    fn op_log(&self) -> Vec<String> {
         self.state.log.lock().map(|l| l.clone()).unwrap_or_default()
     }
 }

@@ -47,7 +47,7 @@
 //! let ids: Vec<u32> = data.chunks_exact(8).map(|v| collection.insert(v).unwrap()).collect();
 //! collection.delete(ids[0]).unwrap();
 //!
-//! let res = collection.search(&data[8..16], 5, 8, &mut rng);
+//! let res = collection.reader().search(&data[8..16], 5, 8, &mut rng);
 //! assert_eq!(res.neighbors[0].0, ids[1]); // self-lookup, exact distance 0
 //! assert!(res.neighbors[0].1 < 1e-6);
 //! std::fs::remove_dir_all(&dir).ok();

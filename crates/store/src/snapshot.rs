@@ -217,10 +217,10 @@ impl Snapshot {
         self.memtable.len()
     }
 
-    /// Serial search with a caller-provided RNG — the historical
-    /// [`crate::Collection::search`] contract: exact squared distances,
-    /// ascending, memtable scanned first, then segments in order sharing
-    /// `rng`.
+    /// Serial search with a caller-provided RNG — the
+    /// [`rabitq_ivf::IvfRabitq::search`] contract: exact squared
+    /// distances, ascending, memtable scanned first, then segments in
+    /// order sharing `rng`.
     pub fn search<R: Rng + ?Sized>(
         &self,
         query: &[f32],
@@ -470,8 +470,7 @@ impl CollectionReader {
         self.snapshot().memtable_len()
     }
 
-    /// Serial search over the latest snapshot (the
-    /// [`crate::Collection::search`] contract).
+    /// Serial search over the latest snapshot (see [`Snapshot::search`]).
     pub fn search<R: Rng + ?Sized>(
         &self,
         query: &[f32],
@@ -492,20 +491,6 @@ impl CollectionReader {
         opts: ParallelOptions,
     ) -> Vec<SearchResult> {
         self.snapshot().search_many(queries, k, nprobe, opts)
-    }
-
-    /// Cancellable batch search over the latest snapshot (see
-    /// [`Snapshot::search_many_cancellable`]).
-    pub fn search_many_cancellable(
-        &self,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        opts: ParallelOptions,
-        tokens: &[CancelToken],
-    ) -> Vec<SearchOutcome> {
-        self.snapshot()
-            .search_many_cancellable(queries, k, nprobe, opts, tokens)
     }
 }
 

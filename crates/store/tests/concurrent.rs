@@ -113,7 +113,7 @@ fn readers_search_correctly_while_writer_seals_and_compacts() {
     let mut rng = StdRng::seed_from_u64(9);
     for qi in (0..n_base).step_by(97) {
         let query = &all_rows[qi * dim..(qi + 1) * dim];
-        let res = collection.search(query, 1, 64, &mut rng);
+        let res = collection.reader().search(query, 1, 64, &mut rng);
         assert_eq!(res.neighbors[0].0 as usize, qi);
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -174,9 +174,14 @@ fn parallel_execution_is_bit_identical_to_serial() {
         collection.insert(row).unwrap();
     }
 
-    let serial = collection.search_many(&queries, 10, 16, ParallelOptions::threaded(1));
+    let serial = collection
+        .reader()
+        .search_many(&queries, 10, 16, ParallelOptions::threaded(1));
     for threads in [2usize, 4, 8] {
-        let parallel = collection.search_many(&queries, 10, 16, ParallelOptions::threaded(threads));
+        let parallel =
+            collection
+                .reader()
+                .search_many(&queries, 10, 16, ParallelOptions::threaded(threads));
         assert_eq!(serial.len(), parallel.len());
         for (qi, (a, b)) in serial.iter().zip(parallel.iter()).enumerate() {
             assert_eq!(a.neighbors, b.neighbors, "{threads} threads, query {qi}");

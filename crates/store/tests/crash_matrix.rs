@@ -127,7 +127,7 @@ fn verify_recovery(dir: &Path, acked: &Acked, cell: &str) {
     for (id, v) in &live {
         // nprobe is far above any cluster count here, so the search is
         // exhaustive: exact distance 0 hits cannot be missed.
-        let res = collection.search(v, 3, 1_000, &mut rng);
+        let res = collection.reader().search(v, 3, 1_000, &mut rng);
         let hits = res
             .neighbors
             .iter()
@@ -139,7 +139,9 @@ fn verify_recovery(dir: &Path, acked: &Acked, cell: &str) {
         );
     }
     for id in &acked.deletes {
-        let res = collection.search(&vector_for(*id), live.len().max(1), 1_000, &mut rng);
+        let res = collection
+            .reader()
+            .search(&vector_for(*id), live.len().max(1), 1_000, &mut rng);
         assert!(
             res.neighbors.iter().all(|&(got, _)| got != *id),
             "[{cell}] acked delete of {id} resurrected"
@@ -226,7 +228,9 @@ fn corrupted_segment_is_quarantined_and_serving_degrades() {
     // The remaining six rows keep serving, and writes still work.
     assert_eq!(collection.len(), 6);
     let mut rng = StdRng::seed_from_u64(3);
-    let res = collection.search(&vector_for(0), 2, 1_000, &mut rng);
+    let res = collection
+        .reader()
+        .search(&vector_for(0), 2, 1_000, &mut rng);
     assert_eq!(res.neighbors[0].0, 0);
     assert!(res.neighbors[0].1 < 1e-9);
     let id = collection.insert(&vector_for(100)).unwrap();
@@ -240,7 +244,9 @@ fn corrupted_segment_is_quarantined_and_serving_degrades() {
     let health = collection.health();
     assert!(health.is_healthy(), "second open is healthy: {health:?}");
     assert_eq!(collection.len(), 7);
-    let res = collection.search(&vector_for(100), 1, 1_000, &mut rng);
+    let res = collection
+        .reader()
+        .search(&vector_for(100), 1, 1_000, &mut rng);
     assert_eq!(res.neighbors[0].0, id);
     assert!(dir
         .join(format!("seg-000001.rbq{QUARANTINE_SUFFIX}"))
@@ -290,7 +296,9 @@ fn write_path_fault_flips_read_only_but_searches_continue() {
 
     // ...searches still answer, the un-acked row invisible...
     let mut rng = StdRng::seed_from_u64(5);
-    let res = collection.search(&vector_for(0), 1, 1_000, &mut rng);
+    let res = collection
+        .reader()
+        .search(&vector_for(0), 1, 1_000, &mut rng);
     assert!(res.neighbors.is_empty());
 
     // ...and detached readers see the same health, without the writer.
@@ -315,7 +323,9 @@ fn operator_freeze_rejects_mutations_with_typed_error() {
     assert!(err.is_read_only());
     assert!(err.to_string().contains("maintenance window"));
     let mut rng = StdRng::seed_from_u64(9);
-    let res = collection.search(&vector_for(0), 1, 1_000, &mut rng);
+    let res = collection
+        .reader()
+        .search(&vector_for(0), 1, 1_000, &mut rng);
     assert_eq!(res.neighbors[0].0, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -387,7 +397,9 @@ fn faults_during_torn_tail_repair_stay_recoverable() {
         );
         let mut rng = StdRng::seed_from_u64(11);
         for i in 0..2 {
-            let res = collection.search(&vector_for(i), 1, 1_000, &mut rng);
+            let res = collection
+                .reader()
+                .search(&vector_for(i), 1, 1_000, &mut rng);
             assert_eq!(res.neighbors[0].0, i);
             assert!(res.neighbors[0].1 < 1e-9);
         }

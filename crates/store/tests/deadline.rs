@@ -143,7 +143,10 @@ fn reader_handle_exposes_cancellable_batches() {
         t.cancel();
         t
     }];
-    let outcomes = reader.search_many_cancellable(&q, 3, 64, ParallelOptions::serial(), &tokens);
+    let outcomes =
+        reader
+            .snapshot()
+            .search_many_cancellable(&q, 3, 64, ParallelOptions::serial(), &tokens);
     assert!(!outcomes[0].is_cancelled());
     assert!(outcomes[1].is_cancelled());
     std::fs::remove_dir_all(&dir).ok();

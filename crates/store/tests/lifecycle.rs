@@ -47,7 +47,7 @@ fn unsealed_writes_survive_a_crash_with_a_torn_tail() {
     assert_eq!(c.len(), 49);
     let mut rng = StdRng::seed_from_u64(2);
     for (i, row) in data.chunks_exact(dim).take(49).enumerate() {
-        let res = c.search(row, 1, 8, &mut rng);
+        let res = c.reader().search(row, 1, 8, &mut rng);
         assert_eq!(res.neighbors[0].0, i as u32, "replayed row {i} searchable");
         assert!(res.neighbors[0].1 < 1e-6);
     }
@@ -76,7 +76,7 @@ fn deletes_survive_crash_and_seal_boundaries() {
     assert_eq!(c.len(), 118);
     let mut rng = StdRng::seed_from_u64(4);
     for dead in [0u32, 110] {
-        let res = c.search(
+        let res = c.reader().search(
             &data[dead as usize * dim..(dead as usize + 1) * dim],
             5,
             16,
@@ -179,7 +179,7 @@ fn compaction_merges_segments_and_drops_tombstones() {
     let mut rng = StdRng::seed_from_u64(8);
     for qi in 0..20usize {
         let probe = &data[qi * dim..(qi + 1) * dim];
-        let res = c.search(probe, 10, 64, &mut rng);
+        let res = c.reader().search(probe, 10, 64, &mut rng);
         assert!(res.neighbors.iter().all(|&(id, _)| id >= 40));
         assert!(res.neighbors.windows(2).all(|w| w[0].1 <= w[1].1));
     }
@@ -215,12 +215,12 @@ fn empty_and_k_zero_searches_are_clean() {
     let dir = tmp_dir("empty");
     let mut c = Collection::open(&dir, small_config(4, 10)).unwrap();
     let mut rng = StdRng::seed_from_u64(1);
-    let res = c.search(&[0.0; 4], 5, 4, &mut rng);
+    let res = c.reader().search(&[0.0; 4], 5, 4, &mut rng);
     assert!(res.neighbors.is_empty());
     let id = c.insert(&[1.0, 0.0, 0.0, 0.0]).unwrap();
-    let res = c.search(&[1.0, 0.0, 0.0, 0.0], 0, 4, &mut rng);
+    let res = c.reader().search(&[1.0, 0.0, 0.0, 0.0], 0, 4, &mut rng);
     assert!(res.neighbors.is_empty());
-    let res = c.search(&[1.0, 0.0, 0.0, 0.0], 3, 4, &mut rng);
+    let res = c.reader().search(&[1.0, 0.0, 0.0, 0.0], 3, 4, &mut rng);
     assert_eq!(res.neighbors.len(), 1);
     assert_eq!(res.neighbors[0].0, id);
     std::fs::remove_dir_all(&dir).ok();

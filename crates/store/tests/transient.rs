@@ -90,7 +90,9 @@ fn transient_fault_within_retry_budget_is_absorbed() {
 
     // The acked row is durable and searchable.
     let mut rng = StdRng::seed_from_u64(1);
-    let res = collection.search(&vector_for(0), 1, 1_000, &mut rng);
+    let res = collection
+        .reader()
+        .search(&vector_for(0), 1, 1_000, &mut rng);
     assert_eq!(res.neighbors[0].0, 0);
     assert!(res.neighbors[0].1 < 1e-9);
     std::fs::remove_dir_all(&dir).ok();
@@ -270,7 +272,7 @@ fn partial_batch_resume_after_thaw_never_double_commits() {
     assert_eq!(collection.len(), 5);
     let mut rng = StdRng::seed_from_u64(2);
     for (i, v) in batch.iter().enumerate() {
-        let res = collection.search(v, 5, 1_000, &mut rng);
+        let res = collection.reader().search(v, 5, 1_000, &mut rng);
         let hits = res
             .neighbors
             .iter()

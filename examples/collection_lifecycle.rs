@@ -22,6 +22,9 @@ fn main() {
     // ---- Session 1: ingest with live queries. ----
     {
         let mut collection = Collection::open(&dir, config.clone()).expect("open collection");
+        // A detached read handle: it always searches the latest snapshot,
+        // so it keeps working while the writer holds `&mut collection`.
+        let reader = collection.reader();
         let mut rng = StdRng::seed_from_u64(1);
         for (i, vector) in ds.data.chunks_exact(ds.dim).enumerate() {
             let id = collection.insert(vector).expect("insert");
@@ -29,7 +32,7 @@ fn main() {
                 // Just-written vectors are immediately searchable: they sit
                 // in the exact-scan memtable until a seal moves them into a
                 // quantized segment.
-                let res = collection.search(vector, 1, 32, &mut rng);
+                let res = reader.search(vector, 1, 32, &mut rng);
                 assert_eq!(res.neighbors[0].0, id);
             }
         }
@@ -66,7 +69,7 @@ fn main() {
 
     // ---- Search: exact distances, ascending, tombstones gone. ----
     let mut rng = StdRng::seed_from_u64(2);
-    let res = collection.search(ds.query(0), 10, 64, &mut rng);
+    let res = collection.reader().search(ds.query(0), 10, 64, &mut rng);
     assert!(res.neighbors.iter().all(|&(id, _)| id >= 500));
     assert!(res.neighbors.windows(2).all(|w| w[0].1 <= w[1].1));
     println!(

@@ -1,6 +1,6 @@
 //! End-to-end collection engine tests through the facade: the full
 //! open → write → crash → replay → compact → search lifecycle, and the
-//! contract equivalence between [`Collection::search`] and
+//! contract equivalence between [`CollectionReader::search`] and
 //! [`IvfRabitq::search`].
 
 use rabitq::data::{exact_knn, generate, DatasetSpec, Profile};
@@ -60,7 +60,7 @@ fn crash_recovery_returns_unsealed_vectors() {
     let mut rng = StdRng::seed_from_u64(1);
     // Unsealed rows (sealed at id 512) are searchable again.
     for id in [512u32, 600, 698] {
-        let res = c.search(ds.vector(id as usize), 1, 32, &mut rng);
+        let res = c.reader().search(ds.vector(id as usize), 1, 32, &mut rng);
         assert_eq!(res.neighbors[0].0, id);
         assert!(res.neighbors[0].1 < 1e-6);
     }
@@ -97,7 +97,7 @@ fn multi_segment_search_matches_single_index_contract() {
     let mut rng_b = StdRng::seed_from_u64(3);
     let (mut recall_multi, mut recall_single) = (0.0f64, 0.0f64);
     for (qi, truth) in gt.iter().enumerate().take(ds.n_queries()) {
-        let a = c.search(ds.query(qi), 10, 1024, &mut rng_a);
+        let a = c.reader().search(ds.query(qi), 10, 1024, &mut rng_a);
         let b = single.search(ds.query(qi), 10, 1024, &mut rng_b);
         // Same shape and invariants...
         assert_eq!(a.neighbors.len(), b.neighbors.len());
@@ -153,8 +153,12 @@ fn reader_handles_and_search_many_work_through_the_facade() {
     });
 
     let queries = ds.queries.clone();
-    let serial = c.search_many(&queries, 5, 64, ParallelOptions::threaded(1));
-    let threaded = c.search_many(&queries, 5, 64, ParallelOptions::threaded(4));
+    let serial = c
+        .reader()
+        .search_many(&queries, 5, 64, ParallelOptions::threaded(1));
+    let threaded = c
+        .reader()
+        .search_many(&queries, 5, 64, ParallelOptions::threaded(4));
     assert_eq!(serial.len(), ds.n_queries());
     for (a, b) in serial.iter().zip(threaded.iter()) {
         assert_eq!(a.neighbors, b.neighbors);
@@ -207,7 +211,7 @@ fn compaction_preserves_survivor_recall() {
         // Ground truth over `survivors` is 0-based; collection ids are
         // offset by the 300 deleted rows.
         let want: Vec<u32> = truth.iter().map(|&(id, _)| id + 300).collect();
-        let a = c.search(ds.query(qi), 10, 64, &mut rng_a);
+        let a = c.reader().search(ds.query(qi), 10, 64, &mut rng_a);
         let got: Vec<u32> = a.neighbors.iter().map(|&(id, _)| id).collect();
         assert!(
             got.iter().all(|&id| id >= 300),
@@ -261,7 +265,7 @@ fn full_lifecycle_open_write_crash_replay_compact_search() {
     assert_eq!(c.len(), n - 150);
     assert_eq!(c.n_segments(), 1);
     let mut rng = StdRng::seed_from_u64(6);
-    let res = c.search(ds.vector(400), 5, 64, &mut rng);
+    let res = c.reader().search(ds.vector(400), 5, 64, &mut rng);
     assert_eq!(res.neighbors[0].0, 400);
     assert!(res.neighbors.iter().all(|&(id, _)| id >= 150));
     std::fs::remove_dir_all(&dir).ok();

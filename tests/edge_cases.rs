@@ -2,7 +2,7 @@
 
 use rabitq::core::{Rabitq, RabitqConfig};
 use rabitq::data::registry::PaperDataset;
-use rabitq::ivf::{FlatRabitq, IvfConfig, IvfRabitq, RerankStrategy};
+use rabitq::ivf::{IvfConfig, IvfRabitq, RerankStrategy};
 use rabitq::math::rng::standard_normal_vec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,8 +37,8 @@ fn duplicate_vectors_all_surface_in_topk() {
         }
         data.extend_from_slice(&v);
     }
-    let index = FlatRabitq::build(&data, dim, RabitqConfig::default());
-    let res = index.search(&proto, 20, &mut rng);
+    let index = IvfRabitq::build(&data, dim, &IvfConfig::new(1), RabitqConfig::default());
+    let res = index.search(&proto, 20, 1, &mut rng);
     assert_eq!(res.neighbors.len(), 20);
     assert!(res.neighbors.iter().all(|&(id, d)| id < 20 && d < 1e-6));
 }
@@ -149,9 +149,9 @@ fn extreme_magnitude_vectors_do_not_overflow_estimates() {
     for x in data.iter_mut().take(10 * dim) {
         *x *= 1e4;
     }
-    let index = FlatRabitq::build(&data, dim, RabitqConfig::default());
+    let index = IvfRabitq::build(&data, dim, &IvfConfig::new(1), RabitqConfig::default());
     let query = standard_normal_vec(&mut rng, dim);
-    let res = index.search(&query, 10, &mut rng);
+    let res = index.search(&query, 10, 1, &mut rng);
     assert_eq!(res.neighbors.len(), 10);
     assert!(res.neighbors.iter().all(|&(_, d)| d.is_finite()));
     // The huge-magnitude vectors must rank far away, not corrupt the top.

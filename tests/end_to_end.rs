@@ -5,10 +5,10 @@
 use rabitq::core::{Rabitq, RabitqConfig};
 use rabitq::data::exact_knn;
 use rabitq::data::registry::PaperDataset;
-use rabitq::ivf::{IvfConfig, IvfPq, IvfRabitq, ScanMode};
+use rabitq::ivf::{IvfConfig, IvfRabitq};
 use rabitq::math::vecs;
 use rabitq::metrics::{recall_at_k, RelativeErrorStats};
-use rabitq::pq::PqConfig;
+use rabitq::pq::{IvfPq, PqConfig, ScanMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -6,7 +6,7 @@
 use rabitq::core::{similarity, RabitqConfig};
 use rabitq::data::{exact_knn, generate, DatasetSpec, Profile};
 use rabitq::graph::{GraphRabitq, GraphRabitqConfig};
-use rabitq::ivf::{FlatMips, FlatRabitq};
+use rabitq::ivf::{FlatMips, IvfConfig, IvfRabitq};
 use rabitq::math::vecs;
 use rabitq::metrics::recall_at_k;
 use rand::rngs::StdRng;
@@ -77,19 +77,20 @@ fn graph_rabitq_tracks_exact_traversal() {
     );
 }
 
-/// The graph index and the flat index agree on easy queries (both find
-/// the true nearest neighbor of a stored vector: itself).
+/// The graph index and a flat (one-bucket) IVF index agree on easy
+/// queries (both find the true nearest neighbor of a stored vector:
+/// itself).
 #[test]
 fn graph_and_flat_agree_on_self_queries() {
     let (n, dim) = (2_000, 48);
     let ds = sift_like(n, 1, dim, 13);
     let graph = GraphRabitq::build(&ds.data, dim, GraphRabitqConfig::default());
-    let flat = FlatRabitq::build(&ds.data, dim, RabitqConfig::default());
+    let flat = IvfRabitq::build(&ds.data, dim, &IvfConfig::new(1), RabitqConfig::default());
     let mut rng = StdRng::seed_from_u64(14);
     for probe in [3usize, 500, 1999] {
         let query = ds.vector(probe);
         let g = graph.search(query, 1, 64, &mut rng);
-        let f = flat.search(query, 1, &mut rng);
+        let f = flat.search(query, 1, 1, &mut rng);
         assert_eq!(g.neighbors[0].0 as usize, probe);
         assert_eq!(f.neighbors[0].0 as usize, probe);
     }

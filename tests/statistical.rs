@@ -250,7 +250,7 @@ struct CollectionErrors {
     /// Mean normalised error over every live code of every sealed segment.
     mean: f64,
     /// Normalised errors of the candidates the collection must re-rank:
-    /// lower bound under the k-th exact distance `Collection::search`
+    /// lower bound under the k-th exact distance `CollectionReader::search`
     /// itself returned for the query.
     reranked: Vec<f64>,
 }
@@ -329,7 +329,7 @@ fn collection_errors(
     let mut reranked = Vec::new();
     for qi in 0..ds.n_queries() {
         let query = ds.query(qi);
-        let answer = collection.search(query, K, usize::MAX, &mut rng);
+        let answer = collection.reader().search(query, K, usize::MAX, &mut rng);
         assert_eq!(answer.neighbors.len(), K);
         assert!(answer.neighbors.iter().all(|(id, _)| !deleted.contains(id)));
         let kth = answer.neighbors[K - 1].1;
