@@ -602,8 +602,10 @@ mod tests {
                 std::thread::spawn(move || batcher.submit(vec![0.0; 4], 1, 2, None))
             })
             .collect();
-        // Let them enqueue into the lingering batch, then shut down.
-        while batcher.queue_len() == 0 {
+        // Let them enqueue into the lingering batch, then shut down. The
+        // worker may drain every request before this thread sees the queue
+        // non-empty, so stop waiting once all clients have their answers.
+        while batcher.queue_len() == 0 && !clients.iter().all(|c| c.is_finished()) {
             std::thread::yield_now();
         }
         batcher.initiate_shutdown();

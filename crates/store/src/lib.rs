@@ -20,10 +20,16 @@
 //! | [`collection`] | the orchestrator tying all of the above together |
 //!
 //! Reads are concurrent with writes: every mutation publishes an
-//! immutable [`Snapshot`], readers (or detached [`CollectionReader`]
-//! handles on other threads) search that frozen state, and
+//! immutable [`Snapshot`], readers search that frozen state, and
 //! [`Snapshot::search_many`] fans a query batch over a scoped worker pool
-//! with bit-identical results at every thread count.
+//! with bit-identical results at every thread count. A [`Collection`] is
+//! the writer and has no search methods of its own: queries go through
+//! [`Collection::snapshot`] or a detached [`CollectionReader`] from
+//! [`Collection::reader`], which always searches the latest snapshot and
+//! can live on another thread.
+//!
+//! This crate is part of the engine cone: it builds on `rabitq-ivf`,
+//! `rabitq-core` and the substrates, and never on the PQ/OPQ baselines.
 //!
 //! The engine preserves the paper's guarantee end-to-end: segments re-rank
 //! with the error-bound rule (exact distances out), the memtable is exact

@@ -11,9 +11,16 @@
 //! * [`store`] — the WAL-backed segmented collection engine: live ingest,
 //!   tombstone deletes, crash recovery, and compaction over sealed
 //!   IVF-RaBitQ segments.
-//! * [`pq`] / [`aq`] — the PQ, OPQ and LSQ-style baselines.
+//! * [`pq`] / [`aq`] — the PQ, OPQ and LSQ-style baselines, including
+//!   the IVF-PQ / IVF-OPQ index [`pq::IvfPq`].
 //! * [`hnsw`] — the graph baseline.
 //! * [`kmeans`], [`math`], [`data`], [`metrics`] — substrates.
+//!
+//! The crates form two cones. The engine cone (`math`, `core`, `kmeans`,
+//! `metrics`, `ivf`, `store`, and the `rabitq-serve` server) never
+//! depends on the reproduction cone (`pq`, `aq`, `hnsw`, `graph`, `data`
+//! and the benchmark binaries), which builds on the engine. This facade
+//! re-exports both.
 //!
 //! See `examples/quickstart.rs` for the five-minute tour, `README.md` for
 //! the crate map, and `DESIGN.md` for the full system inventory.
