@@ -320,28 +320,16 @@ impl Rabitq {
         set: &CodeSet,
         out: &mut Vec<DistanceEstimate>,
     ) {
-        self.estimate_batch_with_epsilon(query, packed, set, self.config.epsilon0, out);
-    }
-
-    /// [`Rabitq::estimate_batch`] with an explicit `ε₀`.
-    fn estimate_batch_with_epsilon(
-        &self,
-        query: &QuantizedQuery,
-        packed: &PackedCodes,
-        set: &CodeSet,
-        epsilon0: f32,
-        out: &mut Vec<DistanceEstimate>,
-    ) {
         let lut = Lut::build(query);
-        self.estimate_batch_with_lut(query, &lut, packed, set, epsilon0, out);
+        self.estimate_batch_with_lut(query, &lut, packed, set, self.config.epsilon0, out);
     }
 
     /// [`Rabitq::estimate_batch`] with an explicit `ε₀` and a
-    /// caller-provided LUT (normally [`QueryScratch::lut`], built once per probe by
-    /// [`Rabitq::prepare_query_prerotated_into`]). `out` is sized with a
-    /// single `resize` and then overwritten in place, so a reused buffer
-    /// at steady state is written exactly once per element and the call
-    /// performs no heap allocation.
+    /// caller-provided LUT (normally [`QueryScratch::lut`], built once per
+    /// probe by [`Rabitq::prepare_query_prerotated_into`]). `out` is sized
+    /// with a single `resize` and then overwritten in place, so a reused
+    /// buffer at steady state is written exactly once per element and the
+    /// call performs no heap allocation.
     ///
     /// The kernel function pointer and the query-side affine terms of
     /// Eq. 20 are resolved once up front; each block is then one SIMD

@@ -896,48 +896,34 @@ mod tests {
 
     #[test]
     fn read_rejects_bucket_ids_that_do_not_partition_the_rows() {
-        // Re-serialise with one bucket id rewritten: the code count still
-        // equals the id count, so only the partition check can catch it.
-        fn reread(index: &mut IvfRabitq, id: u32) -> std::io::Error {
-            let full = index
-                .buckets
-                .iter()
-                .position(|b| !b.ids.is_empty())
-                .unwrap();
-            let old = std::mem::replace(&mut index.buckets[full].ids[0], id);
-            let mut bytes = Vec::new();
-            index.write(&mut bytes).unwrap();
-            index.buckets[full].ids[0] = old;
-            match IvfRabitq::read(&mut bytes.as_slice()) {
-                Ok(_) => panic!("bucket id {id} accepted"),
-                Err(e) => e,
-            }
-        }
         let ds = dataset(300, 16);
         let mut index = build(&ds, 4);
         let mut bytes = Vec::new();
         index.write(&mut bytes).unwrap();
         assert!(IvfRabitq::read(&mut bytes.as_slice()).is_ok());
-
-        let last = index
+        // Rewrite one bucket id: the code count still equals the id count,
+        // so only the partition check can catch it.
+        let first = index
+            .buckets
+            .iter()
+            .position(|b| !b.ids.is_empty())
+            .unwrap();
+        let last = *index
             .buckets
             .iter()
             .rev()
             .find_map(|b| b.ids.last())
-            .copied();
-        let duplicate = reread(&mut index, last.unwrap());
-        assert_eq!(duplicate.kind(), std::io::ErrorKind::InvalidData);
-        assert!(
-            duplicate.to_string().contains("listed twice"),
-            "{duplicate}"
-        );
-
-        let out_of_range = reread(&mut index, 300);
-        assert_eq!(out_of_range.kind(), std::io::ErrorKind::InvalidData);
-        assert!(
-            out_of_range.to_string().contains("out of range"),
-            "{out_of_range}"
-        );
+            .unwrap();
+        for (id, why) in [(last, "listed twice"), (300, "out of range")] {
+            index.buckets[first].ids[0] = id;
+            let mut bytes = Vec::new();
+            index.write(&mut bytes).unwrap();
+            let err = IvfRabitq::read(&mut bytes.as_slice())
+                .err()
+                .expect("a bad bucket id was accepted");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(why), "{err}");
+        }
     }
 
     #[test]
