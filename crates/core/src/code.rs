@@ -160,6 +160,29 @@ impl CodeSet {
         }
     }
 
+    /// `g_i = ⟨x̄_i, r⟩` for every code, into `out` (resized to `len()`):
+    /// with `r = P⁻¹(c − μ)` these are the centre offsets a centred query
+    /// subtracts (see [`crate::estimator`]). O(len · B), no rotation; the
+    /// sums run in `f64` so the offsets carry no order-dependent round-off
+    /// beyond the final cast.
+    pub fn centre_offsets(&self, rotated: &[f32], out: &mut Vec<f32>) {
+        assert_eq!(rotated.len(), self.padded_dim, "rotated offset length");
+        let total: f64 = rotated.iter().map(|&v| v as f64).sum();
+        let inv_sqrt_b = 1.0 / (self.padded_dim as f64).sqrt();
+        out.clear();
+        out.extend(self.bits.chunks_exact(self.words_per_code).map(|code| {
+            let mut set = 0.0f64;
+            for (w, &word) in code.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    set += rotated[w * 64 + bits.trailing_zeros() as usize] as f64;
+                    bits &= bits - 1;
+                }
+            }
+            ((2.0 * set - total) * inv_sqrt_b) as f32
+        }));
+    }
+
     /// Bit `d` of code `i` (dimension `d` of the sign string).
     #[inline]
     pub fn bit(&self, i: usize, d: usize) -> bool {

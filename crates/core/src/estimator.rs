@@ -12,6 +12,22 @@
 //! distance follows from Eq. 2. The half-width of the confidence interval
 //! on `⟨o,q⟩` is `ε₀·√((1−⟨ō,o⟩²)/(⟨ō,o⟩²·(B−1)))` (Eq. 14/16), with
 //! `ε₀ = 1.9` giving near-perfect coverage in practice (Section 5.2.4).
+//!
+//! **Centred queries.** An index that scans many buckets (or a collection
+//! that scans many segments) quantizes one query `w = P⁻¹(q_r − μ)` about a
+//! fixed centre `μ` instead of one residual per centroid `c`. Linearity of
+//! the rotation gives `⟨x̄, P⁻¹(q_r − c)⟩ = ⟨x̄, w⟩ − g` with the
+//! query-independent per-code offset `g = ⟨x̄, P⁻¹(c − μ)⟩`, so
+//!
+//! ```text
+//! ⟨x̄, q̄⟩ = (‖w‖·⟨x̄, w̄⟩ − g) / ‖q_r − c‖
+//! ```
+//!
+//! where `⟨x̄, w̄⟩` is Eq. 20 applied to the quantized unit `w`. The rest of
+//! the estimator is unchanged; [`QueryTerms::centred`] folds `‖w‖` and
+//! `1/‖q_r − c‖` into the affine map. A per-residual query is the special
+//! case `‖w‖ = 1`, `g = 0`, `1/‖q_r − c‖ = 1`, which reproduces the
+//! uncentred arithmetic bit for bit.
 
 use crate::code::CodeFactors;
 use crate::query::QuantizedQuery;
@@ -79,18 +95,23 @@ pub fn ip_confidence_halfwidth(ip_oo: f32, padded_dim: usize, epsilon0: f32) -> 
 }
 
 /// Query-side coefficients of the estimator's affine map, computed once
-/// per (query, code length) pair. Eq. 20 recovers `⟨x̄, q̄⟩` as
-/// `a·⟨x̄_b,q̄_u⟩ + b·popcount + c`, and Eq. 2 turns `⟨o,q⟩` into a squared
-/// distance through `base − cross·⟨o,q⟩` — every per-code quantity the
-/// scan loop needs is one fused multiply-add away from the kernel output.
+/// per (query, bucket) pair. Eq. 20 recovers `⟨x̄, q̄⟩` as
+/// `(a·⟨x̄_b,q̄_u⟩ + b·popcount + c − g)·inv_q_dist`, and Eq. 2 turns
+/// `⟨o,q⟩` into a squared distance through `base − cross·⟨o,q⟩` — every
+/// per-code quantity the scan loop needs is a few multiply-adds away from
+/// the kernel output.
 #[derive(Clone, Copy, Debug)]
 pub struct QueryTerms {
-    /// `2Δ/√B` — coefficient of the kernel output.
+    /// `2Δ/√B·s` — coefficient of the kernel output (`s = ‖w‖` for a
+    /// centred query, 1 for a residual).
     pub a: f32,
-    /// `2v_l/√B` — coefficient of the code popcount.
+    /// `2v_l/√B·s` — coefficient of the code popcount.
     pub b: f32,
-    /// `−Δ/√B·Σq̄_u − √B·v_l` — the per-query constant.
+    /// `(−Δ/√B·Σq̄_u − √B·v_l)·s` — the per-query constant.
     pub c: f32,
+    /// `1/‖q_r − c‖` for a centred query (0 when the query sits on the
+    /// centroid, where every estimate is exact anyway), 1 for a residual.
+    pub inv_q_dist: f32,
     /// `‖q_r − c‖²` — the query half of the distance identity.
     pub q_dist_sq: f32,
     /// `2‖q_r − c‖` — the cross term is `two_q_dist · norm`.
@@ -98,7 +119,8 @@ pub struct QueryTerms {
 }
 
 impl QueryTerms {
-    /// Precomputes the coefficients for one quantized query.
+    /// Precomputes the coefficients for one quantized query residual
+    /// `P⁻¹(q_r − c)` (the per-bucket preparation of Algorithm 2).
     #[inline]
     pub fn new(query: &QuantizedQuery, padded_dim: usize) -> Self {
         let sqrt_b = (padded_dim as f32).sqrt();
@@ -107,22 +129,48 @@ impl QueryTerms {
             a: 2.0 * query.delta * inv_sqrt_b,
             b: 2.0 * query.v_l * inv_sqrt_b,
             c: -(query.delta * inv_sqrt_b * query.sum_qu as f32) - sqrt_b * query.v_l,
+            inv_q_dist: 1.0,
             q_dist_sq: query.q_dist * query.q_dist,
             two_q_dist: 2.0 * query.q_dist,
         }
     }
 
-    /// Recovers `⟨x̄, q̄⟩` from the integer kernel output (Eq. 20).
+    /// The coefficients of a centred query `w = P⁻¹(q_r − μ)` for one
+    /// bucket whose centroid lies at squared distance `centroid_dist_sq`
+    /// from the raw query (the coarse probe's own distance). Per code the
+    /// estimator then subtracts that code's offset `g` (see the module
+    /// docs).
     #[inline]
-    pub fn ip_quantized(&self, ip_bin: u32, popcount: u32) -> f32 {
-        self.a * ip_bin as f32 + self.b * popcount as f32 + self.c
+    pub fn centred(query: &QuantizedQuery, padded_dim: usize, centroid_dist_sq: f32) -> Self {
+        let unit = Self::new(query, padded_dim);
+        let scale = query.q_dist;
+        let q_dist = centroid_dist_sq.max(0.0).sqrt();
+        Self {
+            a: unit.a * scale,
+            b: unit.b * scale,
+            c: unit.c * scale,
+            inv_q_dist: if q_dist > f32::EPSILON {
+                1.0 / q_dist
+            } else {
+                0.0
+            },
+            q_dist_sq: centroid_dist_sq,
+            two_q_dist: 2.0 * q_dist,
+        }
+    }
+
+    /// Recovers `⟨x̄, q̄⟩` from the integer kernel output (Eq. 20) for a
+    /// code whose centre offset is `offset` (0 for a residual query).
+    #[inline]
+    pub fn ip_quantized(&self, ip_bin: u32, popcount: u32, offset: f32) -> f32 {
+        (self.a * ip_bin as f32 + self.b * popcount as f32 + self.c - offset) * self.inv_q_dist
     }
 }
 
 /// Recovers `⟨x̄, q̄⟩` from the integer kernel output (Eq. 20).
 #[inline]
 pub fn ip_quantized(ip_bin: u32, popcount: u32, query: &QuantizedQuery, padded_dim: usize) -> f32 {
-    QueryTerms::new(query, padded_dim).ip_quantized(ip_bin, popcount)
+    QueryTerms::new(query, padded_dim).ip_quantized(ip_bin, popcount, 0.0)
 }
 
 /// The shared per-code estimator body. Every public entry point — the
@@ -163,14 +211,35 @@ pub fn estimate(
     padded_dim: usize,
     epsilon0: f32,
 ) -> DistanceEstimate {
-    let terms = QueryTerms::new(query, padded_dim);
+    estimate_with_terms(
+        ip_bin,
+        factors,
+        0.0,
+        &QueryTerms::new(query, padded_dim),
+        padded_dim,
+        epsilon0,
+    )
+}
+
+/// [`estimate`] under precomputed [`QueryTerms`] — residual or centred —
+/// for a code whose centre offset is `offset`. Bit-identical to the batch
+/// [`estimate_block`] under the same terms and offset.
+#[inline]
+pub fn estimate_with_terms(
+    ip_bin: u32,
+    factors: Factors,
+    offset: f32,
+    terms: &QueryTerms,
+    padded_dim: usize,
+    epsilon0: f32,
+) -> DistanceEstimate {
     estimate_core(
-        terms.ip_quantized(ip_bin, factors.popcount),
+        terms.ip_quantized(ip_bin, factors.popcount, offset),
         inv_ip_oo(factors.ip_oo),
         error_base(factors.ip_oo, padded_dim),
         factors.norm,
         factors.norm * factors.norm,
-        &terms,
+        terms,
         epsilon0,
     )
 }
@@ -193,13 +262,15 @@ pub struct FactorSlices<'a> {
 }
 
 /// Batch estimator over one block of kernel outputs: the affine map
-/// `dist = base − cross·((a·ip_bin + b·pop + c)·inv_ip_oo)` applied
-/// column-wise over struct-of-arrays factors — no division, no `sqrt`,
-/// no per-code branching, so the loop autovectorizes. Results are
-/// bit-identical to calling [`estimate`] per code.
+/// `dist = base − cross·((a·ip_bin + b·pop + c − g)·inv_q_dist·inv_ip_oo)`
+/// applied column-wise over struct-of-arrays factors and centre offsets
+/// `g` — no division, no `sqrt`, no per-code branching, so the loop
+/// autovectorizes. Results are bit-identical to calling
+/// [`estimate_with_terms`] per code.
 pub fn estimate_block(
     ip_bins: &[u32],
     factors: FactorSlices<'_>,
+    offsets: &[f32],
     terms: &QueryTerms,
     epsilon0: f32,
     out: &mut [DistanceEstimate],
@@ -211,12 +282,13 @@ pub fn estimate_block(
             && factors.inv_ip_oos.len() == n
             && factors.err_bases.len() == n
             && factors.popcounts.len() == n
+            && offsets.len() == n
             && out.len() == n,
         "factor columns out of sync with kernel outputs"
     );
     for i in 0..n {
         out[i] = estimate_core(
-            terms.ip_quantized(ip_bins[i], factors.popcounts[i]),
+            terms.ip_quantized(ip_bins[i], factors.popcounts[i], offsets[i]),
             factors.inv_ip_oos[i],
             factors.err_bases[i],
             factors.norms[i],

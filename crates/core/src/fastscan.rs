@@ -9,9 +9,9 @@
 //!
 //! Unlike PQ — whose LUTs hold *quantized floats* and therefore lose
 //! accuracy in the u8 conversion — RaBitQ's LUT entries are small exact
-//! integers (≤ 4·(2^B_q − 1) = 60 for the default B_q = 4), so every batch
-//! kernel returns **bit-identical** results to the single-code bitwise
-//! kernel. That exactness is asserted by differential tests here and in the
+//! integers (≤ 4·(2^B_q − 1): 60 at the paper's B_q = 4, 252 at the
+//! B_q = 6 of the engine's shared query plan), so every batch kernel
+//! returns **bit-identical** results to the single-code bitwise kernel. That exactness is asserted by differential tests here and in the
 //! integration suite, and it is what makes multiple ISA back ends safe: the
 //! kernels sum the same integers, so there is no per-ISA drift to manage.
 //!
@@ -37,10 +37,19 @@ pub use raw::Kernel;
 /// Number of codes per packed block.
 pub const BLOCK: usize = 32;
 
+/// Largest query quantization the `u8` LUT admits: `B_q ≤ 6`.
+pub const MAX_U8_LUT_BQ: u8 = 6;
+
 /// Maximum value of a RaBitQ `u8` LUT entry: `4·(2^B_q − 1)` with
-/// `B_q ≤ 4`. The kernels' u16 accumulator overflow guard multiplies this
-/// by the segment count.
-pub const MAX_U8_LUT_ENTRY: u32 = 60;
+/// `B_q ≤ 6`. The kernels accumulate in u16, so a scan runs in chunks of
+/// at most `u16::MAX / max_entry` segments (see [`raw::chunk_segments`]).
+pub const MAX_U8_LUT_ENTRY: u32 = 252;
+
+/// The largest entry of a LUT built from a `B_q`-bit query.
+#[inline]
+fn max_lut_entry(bq: u8) -> u32 {
+    4 * ((1u32 << bq) - 1)
+}
 
 /// Codes re-laid-out for the fast-scan kernel.
 ///
@@ -125,8 +134,17 @@ impl PackedCodes {
                     self.segments * 16,
                     "LUT storage out of sync with its segment count"
                 );
-                let (kernel, f) = raw::select_scan_u8_tagged(self.segments, MAX_U8_LUT_ENTRY);
-                ScanKind::U8 { kernel, f, entries }
+                // Chunking keeps every kernel call inside its u16
+                // accumulators, so the SIMD kernel runs at any code length.
+                let chunk = raw::chunk_segments(lut.max_entry);
+                let (kernel, f) =
+                    raw::select_scan_u8_tagged(self.segments.min(chunk), lut.max_entry);
+                ScanKind::U8 {
+                    kernel,
+                    f,
+                    chunk,
+                    entries,
+                }
             }
             LutData::U16(entries) => {
                 assert_eq!(
@@ -179,10 +197,12 @@ enum ScanKind<'a> {
     U8 {
         kernel: Kernel,
         f: raw::ScanU8Fn,
+        /// Segments per kernel call (see [`raw::chunk_segments`]).
+        chunk: usize,
         entries: &'a [u8],
     },
-    /// `B_q > 4` LUT entries exceed `u8`; the scalar u16 kernel runs (this
-    /// path is off the paper's recommended operating point).
+    /// `B_q > 6` LUT entries exceed `u8`; the scalar u16 kernel runs (this
+    /// path is off every operating point the engine uses).
     U16 { entries: &'a [u16] },
 }
 
@@ -194,10 +214,12 @@ impl BlockScanner<'_> {
         let base = b * segments * 16;
         let block = &self.packed.blocks[base..base + segments * 16];
         match &self.kind {
-            // SAFETY: `f` came from `select_scan_u8`, which only hands out
-            // pointers to kernels the running CPU supports and applies the
-            // u16 accumulator overflow guard.
-            ScanKind::U8 { f, entries, .. } => unsafe { f(block, entries, segments, out) },
+            // SAFETY: `f` came from `select_scan_u8_tagged`, which only
+            // hands out pointers to kernels the running CPU supports, and
+            // `chunk` keeps each call inside the u16 accumulators.
+            ScanKind::U8 {
+                f, chunk, entries, ..
+            } => unsafe { raw::scan_chunked(*f, *chunk, block, entries, segments, out) },
             ScanKind::U16 { entries } => raw::scan_u16(block, entries, segments, out),
         }
     }
@@ -216,14 +238,16 @@ impl BlockScanner<'_> {
 #[derive(Clone, Debug)]
 pub struct Lut {
     segments: usize,
+    /// `4·(2^B_q − 1)`: the largest entry the tables can hold.
+    max_entry: u32,
     data: LutData,
 }
 
 #[derive(Clone, Debug)]
 enum LutData {
-    /// `B_q ≤ 4`: entries fit in `u8` (≤ 60), enabling the SIMD kernels.
+    /// `B_q ≤ 6`: entries fit in `u8` (≤ 252), enabling the SIMD kernels.
     U8(Vec<u8>),
-    /// `B_q > 4`: entries up to 1020 need `u16`; scalar kernel only.
+    /// `B_q > 6`: entries up to 1020 need `u16`; scalar kernel only.
     U16(Vec<u16>),
 }
 
@@ -233,6 +257,7 @@ impl Lut {
     pub fn empty() -> Self {
         Self {
             segments: 0,
+            max_entry: 0,
             data: LutData::U8(Vec::new()),
         }
     }
@@ -259,7 +284,8 @@ impl Lut {
         let segments = query.padded_dim() / 4;
         let qu = query.qu();
         self.segments = segments;
-        if query.bq() <= 4 {
+        self.max_entry = max_lut_entry(query.bq());
+        if query.bq() <= MAX_U8_LUT_BQ {
             if !matches!(self.data, LutData::U8(_)) {
                 self.data = LutData::U8(Vec::new());
             }
@@ -292,7 +318,7 @@ impl Lut {
 /// Fills one 16-entry table per 4 quantized entries: entry `m` is the sum
 /// of the entries selected by the bits of `m`, built by the subset-sum
 /// recurrence `t[m] = t[m & (m − 1)] + v[trailing_zeros(m)]` (one add per
-/// entry). The caller guarantees the sums fit `T` (`B_q ≤ 4` for `u8`).
+/// entry). The caller guarantees the sums fit `T` (`B_q ≤ 6` for `u8`).
 fn fill_lut<T>(qu: &[u8], tables: &mut [T])
 where
     T: Copy + Default + From<u8> + std::ops::Add<Output = T>,
@@ -495,7 +521,8 @@ pub mod raw {
     /// Resolves the u8-LUT scan function for a whole scan pass: the active
     /// kernel, demoted to scalar when `segments · max_entry` would
     /// overflow the SIMD kernels' u16 accumulators. Call **once per scan**,
-    /// not per block — this is the dispatch point.
+    /// not per block — this is the dispatch point. Callers that can split
+    /// a block instead of demoting use [`chunk_segments`].
     #[inline]
     pub fn select_scan_u8(segments: usize, max_entry: u32) -> ScanU8Fn {
         select_for(active_kernel(), segments, max_entry).1
@@ -516,9 +543,51 @@ pub mod raw {
         }
     }
 
+    /// Segments one kernel call may sum when no LUT entry exceeds
+    /// `max_entry`: the most whose total fits the u16 accumulators,
+    /// rounded down to a multiple of four so the AVX-512 kernel's
+    /// four-segment stride never leaves a tail inside a chunk. 260 at
+    /// `B_q = 6` (padded D ≤ 1040 scans in one call), 1092 at `B_q = 4`.
+    pub fn chunk_segments(max_entry: u32) -> usize {
+        ((u16::MAX as u32 / max_entry.max(1)) as usize & !3).max(1)
+    }
+
+    /// Runs `f` over `segments` in runs of at most `chunk` segments and
+    /// sums the runs into `out`. One call when the block fits one chunk.
+    ///
+    /// # Safety
+    /// The [`ScanU8Fn`] contract for `f`, with `chunk · max_entry`
+    /// inside `u16` for the LUT's largest entry.
+    #[inline]
+    pub(super) unsafe fn scan_chunked(
+        f: ScanU8Fn,
+        chunk: usize,
+        block: &[u8],
+        lut: &[u8],
+        segments: usize,
+        out: &mut [u32; BLOCK],
+    ) {
+        if segments <= chunk {
+            return f(block, lut, segments, out);
+        }
+        out.fill(0);
+        let mut part = [0u32; BLOCK];
+        let mut start = 0;
+        while start < segments {
+            let len = chunk.min(segments - start);
+            let bytes = start * 16..(start + len) * 16;
+            f(&block[bytes.clone()], &lut[bytes], len, &mut part);
+            for (o, p) in out.iter_mut().zip(part) {
+                *o += p;
+            }
+            start += len;
+        }
+    }
+
     /// Scans one block with an explicitly chosen kernel — the entry point
     /// for differential tests and the kernel bench, bypassing the cached
-    /// process-wide dispatch.
+    /// process-wide dispatch. Runs in chunks of [`chunk_segments`], so the
+    /// chosen kernel runs at every segment count.
     ///
     /// # Panics
     /// Panics if the host cannot run `kernel`.
@@ -535,10 +604,11 @@ pub mod raw {
             "kernel {:?} not runnable on this host",
             kernel
         );
-        let (_, f) = select_for(kernel, segments, max_entry);
-        // SAFETY: runtime support was just asserted and `select_for`
-        // applied the u16 accumulator overflow guard.
-        unsafe { f(block, lut, segments, out) }
+        let chunk = chunk_segments(max_entry);
+        let (_, f) = select_for(kernel, segments.min(chunk), max_entry);
+        // SAFETY: runtime support was just asserted and every call covers
+        // at most `chunk` segments.
+        unsafe { scan_chunked(f, chunk, block, lut, segments, out) }
     }
 
     /// Packs per-code 4-bit values into the transposed 32-code block
@@ -826,6 +896,28 @@ mod tests {
     }
 
     #[test]
+    fn bq6_scans_through_the_active_kernel_at_every_code_length() {
+        // 2048 bits at B_q = 6 is 512 segments · 252 > u16::MAX: the scan
+        // runs in chunks through the SIMD kernel, never the u16 path.
+        for dim in [128usize, 1024, 2048] {
+            let set = random_set(70, dim, dim as u64 + 1);
+            let query = random_query(dim, 6, dim as u64 + 2);
+            let packed = PackedCodes::pack(&set);
+            let lut = Lut::build(&query);
+            assert_eq!(packed.scanner(&lut).kernel(), Some(raw::active_kernel()));
+            let mut got = Vec::new();
+            packed.scan_all(&lut, &mut got);
+            for (i, &g) in got.iter().enumerate() {
+                assert_eq!(
+                    g,
+                    ip_code_query(set.code_bits(i), &query),
+                    "D {dim} code {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn every_supported_kernel_matches_scalar() {
         // Odd segment counts exercise the widened kernels' tail handling
         // (dim 192 → 48 segments, dim 320 → 80, dim 64+4? not possible:
@@ -953,7 +1045,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Both table widths (`B_q ≤ 4` → u8, above → u16) through one
+        /// Both table widths (`B_q ≤ 6` → u8, above → u16) through one
         /// reused `Lut`, so width switches and shrinking are covered too.
         #[test]
         fn lut_entries_match_definition(
@@ -969,7 +1061,7 @@ mod tests {
                     LutData::U8(e) => e.iter().map(|&v| v as u16).collect(),
                     LutData::U16(e) => e.clone(),
                 };
-                prop_assert_eq!(matches!(lut.data, LutData::U8(_)), bq <= 4);
+                prop_assert_eq!(matches!(lut.data, LutData::U8(_)), bq <= MAX_U8_LUT_BQ);
                 prop_assert_eq!(got, want, "B = {} bq = {}", words * 64, bq);
             }
         }

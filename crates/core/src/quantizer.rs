@@ -105,9 +105,23 @@ impl Rabitq {
         &self.config
     }
 
+    /// `B_q` of a centred query plan: `min(B_q + 2, 6)`, never below the
+    /// configured `B_q`. One quantized `w = P⁻¹(q − μ)` spans a 2–3× wider
+    /// range than a per-centroid residual; two more bits bring the
+    /// lower-bound failure rate back to the per-residual rate, and 6 is the
+    /// widest query the `u8` fast-scan LUT admits.
+    #[inline]
+    pub fn plan_bq(&self) -> u8 {
+        self.config
+            .bq
+            .saturating_add(2)
+            .min(crate::fastscan::MAX_U8_LUT_BQ)
+            .max(self.config.bq)
+    }
+
     /// Applies the index-wide rotation `P⁻¹` to an arbitrary raw vector.
-    /// IVF uses this to rotate the query and all centroids once, then forms
-    /// per-cluster residuals in rotated space (`P⁻¹` is linear).
+    /// IVF uses this to rotate its centroids and centre once (`P⁻¹` is
+    /// linear, so residuals can be formed in rotated space).
     pub fn rotate(&self, v: &[f32]) -> Vec<f32> {
         self.rotator.rotate_vec(v)
     }
@@ -221,10 +235,11 @@ impl Rabitq {
 
     /// [`Rabitq::prepare_query_prerotated`] into reusable scratch state:
     /// the residual buffer, the quantized query, and the fast-scan LUT all
-    /// live in `scratch` and are overwritten in place. After the scratch
-    /// warms up (one call per shape), the per-probe cost is **zero heap
-    /// allocations** — this is what lets the IVF search loop probe
-    /// thousands of buckets without touching the allocator.
+    /// live in `scratch` and are overwritten in place, with no heap
+    /// allocation once the scratch has warmed up. The per-bucket
+    /// preparation, kept for measuring it in isolation; the IVF engine
+    /// prepares one centred query per search instead
+    /// ([`Rabitq::prepare_centred_into`]).
     pub fn prepare_query_prerotated_into<R: Rng + ?Sized>(
         &self,
         rotated_query: &[f32],
@@ -240,6 +255,29 @@ impl Rabitq {
         scratch
             .query
             .quantize_from_rotated_residual(&scratch.residual, self.config.bq, rng);
+        scratch.lut.rebuild(&scratch.query);
+    }
+
+    /// Prepares the one centred query of a search plan: quantizes the
+    /// rotated `w = P⁻¹(q − μ)` at [`Rabitq::plan_bq`] bits and builds its
+    /// LUT into `scratch`, with no heap allocation once the scratch has
+    /// warmed up. Every bucket is then estimated from this one LUT through
+    /// [`QueryTerms::centred`](estimator::QueryTerms::centred) and the
+    /// codes' centre offsets ([`CodeSet::centre_offsets`]).
+    pub fn prepare_centred_into<R: Rng + ?Sized>(
+        &self,
+        rotated_centred: &[f32],
+        scratch: &mut QueryScratch,
+        rng: &mut R,
+    ) {
+        assert_eq!(
+            rotated_centred.len(),
+            self.padded_dim(),
+            "rotated query length"
+        );
+        scratch
+            .query
+            .quantize_from_rotated_residual(rotated_centred, self.plan_bq(), rng);
         scratch.lut.rebuild(&scratch.query);
     }
 
@@ -262,6 +300,31 @@ impl Rabitq {
         debug_assert_eq!(query.padded_dim(), self.padded_dim());
         let ip_bin = ip_code_query(set.code_bits(i), query);
         estimator::estimate(ip_bin, set.factors(i), query, self.padded_dim(), epsilon0)
+    }
+
+    /// The single-code estimate under a centred query `w` (prepared by
+    /// [`Rabitq::prepare_centred_into`]) for code `i` of a bucket whose
+    /// centroid lies at squared distance `centroid_dist_sq` from the raw
+    /// query and whose centre offsets are `offsets`. Bit-identical to
+    /// [`Rabitq::estimate_batch_centred`].
+    pub fn estimate_centred(
+        &self,
+        query: &QuantizedQuery,
+        centroid_dist_sq: f32,
+        set: &CodeSet,
+        offsets: &[f32],
+        i: usize,
+    ) -> DistanceEstimate {
+        debug_assert_eq!(query.padded_dim(), self.padded_dim());
+        let terms = estimator::QueryTerms::centred(query, self.padded_dim(), centroid_dist_sq);
+        estimator::estimate_with_terms(
+            ip_code_query(set.code_bits(i), query),
+            set.factors(i),
+            offsets[i],
+            &terms,
+            self.padded_dim(),
+            self.config.epsilon0,
+        )
     }
 
     /// Packs a code set for the batch (fast-scan) kernel.
@@ -325,16 +388,9 @@ impl Rabitq {
     }
 
     /// [`Rabitq::estimate_batch`] with an explicit `ε₀` and a
-    /// caller-provided LUT (normally [`QueryScratch::lut`], built once per
-    /// probe by [`Rabitq::prepare_query_prerotated_into`]). `out` is sized
-    /// with a single `resize` and then overwritten in place, so a reused
-    /// buffer at steady state is written exactly once per element and the
-    /// call performs no heap allocation.
-    ///
-    /// The kernel function pointer and the query-side affine terms of
-    /// Eq. 20 are resolved once up front; each block is then one SIMD
-    /// scan followed by the autovectorized affine map of
-    /// [`estimator::estimate_block`] over the precomputed factor columns.
+    /// caller-provided LUT of a per-residual query (normally
+    /// [`QueryScratch::lut`], built by
+    /// [`Rabitq::prepare_query_prerotated_into`]).
     pub fn estimate_batch_with_lut(
         &self,
         query: &QuantizedQuery,
@@ -344,10 +400,62 @@ impl Rabitq {
         epsilon0: f32,
         out: &mut Vec<DistanceEstimate>,
     ) {
+        let terms = estimator::QueryTerms::new(query, self.padded_dim());
+        Self::estimate_blocks(&terms, lut, packed, set, None, epsilon0, out);
+    }
+
+    /// Batch estimation of one bucket under the centred query held by
+    /// `scratch` ([`Rabitq::prepare_centred_into`]): `centroid_dist_sq` is
+    /// the bucket centroid's squared distance from the raw query and
+    /// `offsets` its codes' centre offsets. Bit-identical to
+    /// [`Rabitq::estimate_centred`] per code.
+    #[allow(clippy::too_many_arguments)]
+    pub fn estimate_batch_centred(
+        &self,
+        scratch: &QueryScratch,
+        centroid_dist_sq: f32,
+        packed: &PackedCodes,
+        set: &CodeSet,
+        offsets: &[f32],
+        epsilon0: f32,
+        out: &mut Vec<DistanceEstimate>,
+    ) {
+        assert_eq!(offsets.len(), set.len(), "one centre offset per code");
+        let terms =
+            estimator::QueryTerms::centred(&scratch.query, self.padded_dim(), centroid_dist_sq);
+        Self::estimate_blocks(
+            &terms,
+            &scratch.lut,
+            packed,
+            set,
+            Some(offsets),
+            epsilon0,
+            out,
+        );
+    }
+
+    /// The batch loop shared by the residual and the centred query.
+    /// `out` is sized with a single `resize` and then overwritten in
+    /// place, so a reused buffer at steady state is written exactly once
+    /// per element and the call performs no heap allocation.
+    ///
+    /// The kernel function pointer is resolved once up front; each block
+    /// is then one SIMD scan followed by the autovectorized affine map of
+    /// [`estimator::estimate_block`] over the precomputed factor columns
+    /// (offsets 0 for a residual query).
+    fn estimate_blocks(
+        terms: &estimator::QueryTerms,
+        lut: &Lut,
+        packed: &PackedCodes,
+        set: &CodeSet,
+        offsets: Option<&[f32]>,
+        epsilon0: f32,
+        out: &mut Vec<DistanceEstimate>,
+    ) {
+        const NO_OFFSETS: [f32; BLOCK] = [0.0; BLOCK];
         debug_assert_eq!(packed.len(), set.len());
         out.resize(set.len(), DistanceEstimate::default());
         let mut buf = [0u32; BLOCK];
-        let terms = estimator::QueryTerms::new(query, self.padded_dim());
         let scanner = packed.scanner(lut);
         for b in 0..packed.n_blocks() {
             scanner.scan_block(b, &mut buf);
@@ -356,7 +464,8 @@ impl Rabitq {
             estimator::estimate_block(
                 &buf[..take],
                 set.factor_slices(start, take),
-                &terms,
+                offsets.map_or(&NO_OFFSETS[..take], |g| &g[start..start + take]),
+                terms,
                 epsilon0,
                 &mut out[start..start + take],
             );
@@ -364,13 +473,13 @@ impl Rabitq {
     }
 }
 
-/// Reusable query-preparation state for the IVF fast path: the rotated
-/// residual buffer, the quantized query, and its fast-scan LUT.
+/// Reusable query-preparation state: the quantized query and its
+/// fast-scan LUT, plus the residual buffer of the per-bucket preparation.
 ///
-/// One scratch serves one search thread; [`Rabitq::prepare_query_prerotated_into`]
-/// overwrites it per probed bucket without allocating (after the first,
-/// shape-establishing call). This is the core half of the engine-level
-/// `SearchScratch` in `rabitq-ivf`.
+/// One scratch serves one search thread; [`Rabitq::prepare_centred_into`]
+/// (or [`Rabitq::prepare_query_prerotated_into`]) overwrites it without
+/// allocating after the first, shape-establishing call. This is the core
+/// half of the engine-level `SearchScratch` in `rabitq-ivf`.
 pub struct QueryScratch {
     pub(crate) residual: Vec<f32>,
     pub(crate) query: QuantizedQuery,

@@ -8,12 +8,15 @@
 //! the dispatched kernel (whatever `RABITQ_FORCE_KERNEL` selects; CI runs
 //! this suite once with `scalar` forced) must equal the single-code
 //! bitwise path bit for bit, across both the `u8` and the `u16` LUT
-//! widths (`B_q ≤ 4` and `B_q > 4`).
+//! widths (`B_q ≤ 6` and `B_q > 6`). The centred query of the engine's
+//! plan quantizes at `B_q` 5–6, whose LUT entries reach 252: at padded
+//! D 2048 one block's sum overflows the kernels' u16 accumulators, so the
+//! scan runs in chunks, and every kernel must still match.
 
 use proptest::prelude::*;
 use rabitq_core::estimator;
 use rabitq_core::fastscan::{raw, BLOCK, MAX_U8_LUT_ENTRY};
-use rabitq_core::{Rabitq, RabitqConfig};
+use rabitq_core::{Lut, Rabitq, RabitqConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -112,6 +115,74 @@ proptest! {
         for (i, &b) in batch.iter().enumerate() {
             let single = q.estimate(&prepared, &codes, i);
             prop_assert_eq!(single, b, "code {}", i);
+        }
+    }
+}
+
+/// `B_q` 5 and 6 at padded D 128, 1024 and 2048 (2048 is the chunked
+/// case): every compiled kernel the host runs equals the portable one bit
+/// for bit on LUTs filled to the `B_q`'s largest entry and at random,
+/// through the dispatched scanner the pipeline matches the single-code
+/// path, and the scan stays on the dispatched (SIMD) kernel.
+#[test]
+fn wide_query_luts_match_scalar_on_every_kernel_at_every_code_length() {
+    for bq in [5u8, 6] {
+        let max_entry = 4 * ((1u32 << bq) - 1);
+        for padded in [128usize, 1024, 2048] {
+            let segments = padded / 4;
+            let mut rng = StdRng::seed_from_u64(padded as u64 * 10 + bq as u64);
+            let n = 70;
+            let blocks = raw::pack_nibbles(n, segments, |_, _| rng.gen::<u8>() & 0xF);
+            let full = vec![max_entry as u8; segments * 16];
+            let random: Vec<u8> = (0..segments * 16)
+                .map(|_| rng.gen_range(0..=max_entry) as u8)
+                .collect();
+            for lut in [&full, &random] {
+                for b in 0..n.div_ceil(BLOCK) {
+                    let block = &blocks[b * segments * 16..(b + 1) * segments * 16];
+                    let mut expect = [0u32; BLOCK];
+                    raw::scan_u8_scalar(block, lut, segments, &mut expect);
+                    for kernel in raw::supported_kernels() {
+                        let mut got = [0u32; BLOCK];
+                        raw::scan_u8_with(kernel, block, lut, segments, max_entry, &mut got);
+                        assert_eq!(
+                            got,
+                            expect,
+                            "{} B_q {bq} D {padded} block {b}",
+                            kernel.name()
+                        );
+                    }
+                }
+            }
+
+            let q = Rabitq::new(
+                padded,
+                RabitqConfig {
+                    bq,
+                    ..RabitqConfig::default()
+                },
+            );
+            let data = make_data(n, padded, bq as u64);
+            let centroid = vec![0.05f32; padded];
+            let codes = q.encode_set(data.iter().map(|v| v.as_slice()), &centroid);
+            let packed = q.pack(&codes);
+            let query_vec = rabitq_math::rng::standard_normal_vec(&mut rng, padded);
+            let prepared = q.prepare_query(&query_vec, &centroid, &mut rng);
+            let lut = Lut::build(&prepared);
+            assert_eq!(
+                packed.scanner(&lut).kernel(),
+                Some(raw::active_kernel()),
+                "B_q {bq} D {padded} left the dispatched kernel"
+            );
+            let mut batch = Vec::new();
+            q.estimate_batch(&prepared, &packed, &codes, &mut batch);
+            for (i, &b) in batch.iter().enumerate() {
+                assert_eq!(
+                    q.estimate(&prepared, &codes, i),
+                    b,
+                    "B_q {bq} D {padded} code {i}"
+                );
+            }
         }
     }
 }

@@ -107,6 +107,12 @@ impl TopK {
         }
     }
 
+    /// The bound `K`.
+    #[inline]
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
     /// Current K-th best distance (∞ while fewer than K entries).
     #[inline]
     pub fn threshold(&self) -> f32 {

@@ -2,8 +2,8 @@
 //!
 //! The application layer of the paper (Section 4): [`IvfRabitq`], an
 //! inverted-file index pairing a KMeans coarse quantizer with RaBitQ codes
-//! per bucket, the rotate-once query path, and **error-bound-based
-//! re-ranking** (no tuning parameter). [`FlatMips`] carries the same
+//! per bucket, the one-plan query path (rotate once, one LUT, one top-K)
+//! and **error-bound-based re-ranking** (no tuning parameter). [`FlatMips`] carries the same
 //! bound-gated re-rank over to inner-product and cosine search.
 //!
 //! This crate is part of the engine: the collection engine and the server

@@ -2,16 +2,31 @@
 //!
 //! **Index phase**: KMeans buckets the raw vectors; within each bucket the
 //! vectors are normalized against the bucket centroid and RaBitQ-encoded;
-//! codes are additionally packed for the batch fast-scan kernel.
+//! codes are additionally packed for the batch fast-scan kernel. Each code
+//! also gets a derived, never-persisted centre offset
+//! `g = ⟨x̄, P⁻¹(c − μ)⟩` about the index's centre `μ`.
 //!
-//! **Query phase**: the query is rotated *once* (`P⁻¹q_r`); each probed
-//! bucket then derives its residual in rotated space from a pre-rotated
-//! centroid (an O(B) subtraction instead of another rotation), quantizes
-//! it, fast-scans the bucket's packed codes, and re-ranks by the paper's
-//! error-bound rule: a candidate's exact distance is computed iff its
-//! distance lower bound beats the current K-th best exact distance. With
-//! `ε₀ = 1.9` the true nearest neighbors of the probed buckets reach
+//! ## One query path
+//!
+//! A search builds one query plan and scans with it. The plan rotates
+//! the centred query `w = P⁻¹(q − μ)` **once**, quantizes it **once** (at
+//! [`Rabitq::plan_bq`] bits) and builds **one** fast-scan LUT; every
+//! probed bucket is then estimated from that LUT, its coarse-probe
+//! distance `‖q − c‖` and its codes' offsets `g` (see
+//! [`rabitq_core::estimator`]), with no per-bucket rotation, quantization
+//! or LUT. Candidates are re-ranked by the paper's error-bound rule into
+//! the plan's **one** top-K: a candidate's exact distance is computed iff
+//! its distance lower bound beats the current K-th best exact distance.
+//! With `ε₀ = 1.9` the true nearest neighbors of the probed buckets reach
 //! re-ranking with near-certainty — no tuning parameter exists.
+//!
+//! A single index is a one-index collection: [`IvfRabitq::search_into`] is
+//! [`SearchScratch::begin`], [`IvfRabitq::plan_into`],
+//! [`IvfRabitq::scan_planned`] and [`SearchScratch::finish`]. The
+//! collection engine (`rabitq-store`) runs the same four steps with one
+//! plan over all of its segments, which share one rotation and one
+//! centre, so the first segment's results already tighten the bound for
+//! the rest.
 
 use crate::cancel::CancelToken;
 use crate::common::{IvfConfig, RerankStrategy, SearchResult, TopK};
@@ -28,6 +43,9 @@ struct Bucket {
     ids: Vec<u32>,
     codes: CodeSet,
     packed: PackedCodes,
+    /// Centre offset `g = ⟨x̄, P⁻¹(c − μ)⟩` per code; derived from the
+    /// index's centre, never persisted.
+    offsets: Vec<f32>,
 }
 
 /// The IVF-RaBitQ index.
@@ -35,8 +53,11 @@ pub struct IvfRabitq {
     dim: usize,
     quantizer: Rabitq,
     coarse: KMeans,
-    /// `P⁻¹·c` per centroid, enabling the rotate-once query path.
+    /// `P⁻¹·c` per centroid: with `P⁻¹·μ`, the rotated offsets behind `g`.
     rotated_centroids: Vec<f32>,
+    /// `μ`, the centre every query plan quantizes about: the
+    /// size-weighted mean of the centroids, or the collection's centre.
+    centre: Vec<f32>,
     buckets: Vec<Bucket>,
     /// Owned copy of the raw vectors for exact re-ranking.
     data: Vec<f32>,
@@ -53,33 +74,40 @@ pub struct IvfRabitq {
     n_deleted: AtomicUsize,
 }
 
-/// Reusable per-thread buffers for [`IvfRabitq::search_into`]: every heap
-/// allocation the query path would otherwise make per call (or worse, per
-/// probed bucket) lives here and is overwritten in place. One scratch
-/// serves one search thread; at steady state (after the buffers have grown
-/// to the workload's shape) a search performs **zero heap allocations**.
-pub struct SearchScratch {
-    /// `P⁻¹·q`, computed once per query.
-    rotated_query: Vec<f32>,
-    /// Per-probe residual + quantized query + LUT (see
-    /// [`rabitq_core::QueryScratch`]).
+/// One query's preparation, built once and read by every index the query
+/// scans: the centred query `q − μ`, its one rotation `w = P⁻¹(q − μ)`,
+/// and `w` quantized with its one fast-scan LUT.
+struct QueryPlan {
+    centred: Vec<f32>,
+    rotated: Vec<f32>,
     query: QueryScratch,
-    /// The `nprobe` nearest coarse centroids.
+}
+
+/// Reusable per-thread buffers for [`IvfRabitq::search_into`]: the query
+/// plan, the one top-K every scan pushes into, and every other buffer the
+/// query path would otherwise allocate per call (or worse, per probed
+/// bucket) live here and are overwritten in place. One scratch serves one
+/// search thread; at steady state (after the buffers have grown to the
+/// workload's shape) a search performs **zero heap allocations**.
+pub struct SearchScratch {
+    /// The current query's plan (see [`IvfRabitq::plan_into`]).
+    plan: QueryPlan,
+    /// The plan's one threshold: every scan of the query pushes into it.
+    top: TopK,
+    /// The `nprobe` nearest coarse centroids of the index being scanned,
+    /// with their squared distances from the query.
     probes: Vec<(usize, f32)>,
     /// Per-bucket batch estimates.
     estimates: Vec<DistanceEstimate>,
     /// Candidate pool for [`RerankStrategy::TopCandidates`].
     pool: Vec<(u32, f32)>,
-    /// Bounded top-K tracker (heap storage reused across queries).
-    top: TopK,
-    /// Neighbors of the most recent [`IvfRabitq::search_into`] call:
-    /// `(id, squared distance)` ascending, same contract as
-    /// [`SearchResult::neighbors`]. Public so engine layers (e.g. segment
-    /// id remapping in `rabitq-store`) can rewrite ids in place.
+    /// Neighbors of the most recent finished query: `(id, squared
+    /// distance)` ascending, same contract as [`SearchResult::neighbors`].
+    /// Public so engine layers (e.g. segment id remapping in
+    /// `rabitq-store`) can rewrite ids in place.
     pub neighbors: Vec<(u32, f32)>,
-    /// Stage breakdown of the most recent [`IvfRabitq::search_into`] call
-    /// (`Copy`, fixed-size — no allocation). Engine layers accumulate it
-    /// per query across segments and feed the global stage timers.
+    /// Stage breakdown of the current (or most recent) query, plan and
+    /// every scan together (`Copy`, fixed-size — no allocation).
     pub stages: StageNanos,
 }
 
@@ -87,15 +115,49 @@ impl SearchScratch {
     /// An empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self {
-            rotated_query: Vec::new(),
-            query: QueryScratch::new(),
+            plan: QueryPlan {
+                centred: Vec::new(),
+                rotated: Vec::new(),
+                query: QueryScratch::new(),
+            },
+            top: TopK::new(0),
             probes: Vec::new(),
             estimates: Vec::new(),
             pool: Vec::new(),
-            top: TopK::new(0),
             neighbors: Vec::new(),
             stages: StageNanos::new(),
         }
+    }
+
+    /// Starts a query for `k` neighbors: clears the stage trace and the
+    /// previous neighbors and arms the one top-K.
+    pub fn begin(&mut self, k: usize) {
+        self.neighbors.clear();
+        self.stages.clear();
+        self.top.reset(k);
+    }
+
+    /// The query's top-K, for candidates found outside an index (e.g. a
+    /// collection's unsealed rows) — pushed before or between scans, they
+    /// tighten the bound for every later bucket.
+    pub fn top_mut(&mut self) -> &mut TopK {
+        &mut self.top
+    }
+
+    /// Ends the query: drains the top-K, ascending, into `out`, charged
+    /// to [`Stage::Merge`]. The top-K keeps its storage for the next
+    /// query.
+    pub fn finish_into(&mut self, out: &mut Vec<(u32, f32)>) {
+        let t = Instant::now();
+        self.top.drain_sorted_into(out);
+        lap(&mut self.stages, Stage::Merge, t);
+    }
+
+    /// [`SearchScratch::finish_into`] into [`SearchScratch::neighbors`].
+    pub fn finish(&mut self) {
+        let mut neighbors = std::mem::take(&mut self.neighbors);
+        self.finish_into(&mut neighbors);
+        self.neighbors = neighbors;
     }
 }
 
@@ -121,9 +183,48 @@ fn lap(stages: &mut StageNanos, stage: Stage, since: Instant) -> Instant {
     now
 }
 
+/// `Σ w·c / Σ w` over `(centroid, weight)` pairs, accumulated in `f64` in
+/// the given order (deterministic); zeros when every weight is 0.
+fn weighted_mean<'a>(dim: usize, parts: impl IntoIterator<Item = (&'a [f32], usize)>) -> Vec<f32> {
+    let mut sum = vec![0.0f64; dim];
+    let mut total = 0usize;
+    for (centroid, weight) in parts {
+        for (s, &v) in sum.iter_mut().zip(centroid) {
+            *s += v as f64 * weight as f64;
+        }
+        total += weight;
+    }
+    let inv = if total == 0 { 0.0 } else { 1.0 / total as f64 };
+    sum.into_iter().map(|s| (s * inv) as f32).collect()
+}
+
+/// `P⁻¹(c − μ)` for centroid `c`, from the pre-rotated pieces.
+fn rotated_offset(rotated_centroid: &[f32], rotated_centre: &[f32], out: &mut Vec<f32>) {
+    out.resize(rotated_centre.len(), 0.0);
+    vecs::sub(rotated_centroid, rotated_centre, out);
+}
+
 impl IvfRabitq {
-    /// Builds the index over a flat `n × dim` buffer.
+    /// Builds the index over a flat `n × dim` buffer, centred on the
+    /// size-weighted mean of its own centroids.
     pub fn build(data: &[f32], dim: usize, ivf: &IvfConfig, rabitq: RabitqConfig) -> Self {
+        Self::build_centred(data, dim, ivf, rabitq, None)
+    }
+
+    /// [`IvfRabitq::build`] about a given centre `μ` (`None` = the
+    /// size-weighted mean of the index's own centroids). A collection
+    /// passes its one centre so that every segment scans under one plan;
+    /// the offsets are computed inside the encode pass.
+    ///
+    /// # Panics
+    /// Panics if `centre` is not `dim` long.
+    pub fn build_centred(
+        data: &[f32],
+        dim: usize,
+        ivf: &IvfConfig,
+        rabitq: RabitqConfig,
+        centre: Option<&[f32]>,
+    ) -> Self {
         assert!(dim > 0 && data.len().is_multiple_of(dim), "data shape");
         let n = data.len() / dim;
         assert!(n > 0, "cannot index an empty dataset");
@@ -153,6 +254,20 @@ impl IvfRabitq {
         for (i, &c) in assignment.iter().enumerate() {
             ids_per_bucket[c as usize].push(i as u32);
         }
+        let centre = match centre {
+            Some(centre) => {
+                assert_eq!(centre.len(), dim, "centre dimensionality");
+                centre.to_vec()
+            }
+            None => weighted_mean(
+                dim,
+                ids_per_bucket
+                    .iter()
+                    .enumerate()
+                    .map(|(c, ids)| (coarse.centroid(c), ids.len())),
+            ),
+        };
+        let rotated_centre = quantizer.rotate(&centre);
         let encode_bucket = |c: usize, ids: Vec<u32>| -> Bucket {
             let centroid = coarse.centroid(c);
             let mut codes = quantizer.new_code_set();
@@ -164,7 +279,20 @@ impl IvfRabitq {
                 );
             }
             let packed = quantizer.pack(&codes);
-            Bucket { ids, codes, packed }
+            let mut offset = Vec::new();
+            rotated_offset(
+                &rotated_centroids[c * padded..(c + 1) * padded],
+                &rotated_centre,
+                &mut offset,
+            );
+            let mut offsets = Vec::new();
+            codes.centre_offsets(&offset, &mut offsets);
+            Bucket {
+                ids,
+                codes,
+                packed,
+                offsets,
+            }
         };
         let buckets: Vec<Bucket> = if ivf.threads <= 1 || coarse.k() < 2 {
             ids_per_bucket
@@ -210,11 +338,60 @@ impl IvfRabitq {
             quantizer,
             coarse,
             rotated_centroids,
+            centre,
             buckets,
             data: data.to_vec(),
             deleted: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             n_deleted: AtomicUsize::new(0),
         }
+    }
+
+    /// The size-weighted mean of the centroids of `indexes` (weights:
+    /// bucket sizes, tombstoned rows included) — the centre a standalone
+    /// index takes, and the one a collection derives from its segments
+    /// when its metadata records none.
+    pub fn centroid_mean<'a>(
+        dim: usize,
+        indexes: impl IntoIterator<Item = &'a IvfRabitq>,
+    ) -> Vec<f32> {
+        weighted_mean(
+            dim,
+            indexes.into_iter().flat_map(|index| {
+                index
+                    .buckets
+                    .iter()
+                    .enumerate()
+                    .map(|(c, b)| (index.coarse.centroid(c), b.ids.len()))
+            }),
+        )
+    }
+
+    /// Re-centres the index on `centre`: recomputes every code's offset
+    /// (O(n·B), one rotation). Codes, ids and answers' exact distances are
+    /// untouched; only the plan's quantization changes.
+    ///
+    /// # Panics
+    /// Panics if `centre` is not `dim` long.
+    pub fn recentre(&mut self, centre: &[f32]) {
+        assert_eq!(centre.len(), self.dim, "centre dimensionality");
+        let padded = self.quantizer.padded_dim();
+        let rotated_centre = self.quantizer.rotate(centre);
+        let mut offset = Vec::new();
+        for (c, bucket) in self.buckets.iter_mut().enumerate() {
+            rotated_offset(
+                &self.rotated_centroids[c * padded..(c + 1) * padded],
+                &rotated_centre,
+                &mut offset,
+            );
+            bucket.codes.centre_offsets(&offset, &mut bucket.offsets);
+        }
+        self.centre.clear();
+        self.centre.extend_from_slice(centre);
+    }
+
+    /// The centre `μ` every query plan of this index quantizes about.
+    pub fn centre(&self) -> &[f32] {
+        &self.centre
     }
 
     /// Number of indexed vector slots, live and tombstoned alike. Ids are
@@ -300,12 +477,17 @@ impl IvfRabitq {
     }
 
     /// Bucket `c` as the search loop sees it: its raw centroid, the ids it
-    /// holds (tombstoned ones included) and their codes, in step. Read-only
-    /// — for checks that recompute estimates outside the index, such as
-    /// the collection-level statistical tests.
-    pub fn bucket(&self, c: usize) -> (&[f32], &[u32], &CodeSet) {
+    /// holds (tombstoned ones included), their codes and their centre
+    /// offsets, in step. Read-only — for checks that recompute estimates
+    /// outside the index, such as the collection-level statistical tests.
+    pub fn bucket(&self, c: usize) -> (&[f32], &[u32], &CodeSet, &[f32]) {
         let bucket = &self.buckets[c];
-        (self.coarse.centroid(c), &bucket.ids, &bucket.codes)
+        (
+            self.coarse.centroid(c),
+            &bucket.ids,
+            &bucket.codes,
+            &bucket.offsets,
+        )
     }
 
     /// Searches with the paper's error-bound re-ranking.
@@ -323,10 +505,8 @@ impl IvfRabitq {
     /// ablation and the baseline comparisons).
     ///
     /// Thin wrapper over [`IvfRabitq::search_into`] with a throwaway
-    /// [`SearchScratch`] — one scratch allocation per call instead of the
-    /// historical per-probed-bucket allocations. Serving layers that care
-    /// about the allocator (e.g. `rabitq-store`) hold a scratch per thread
-    /// and call `search_into` directly.
+    /// [`SearchScratch`]. Serving layers that care about the allocator
+    /// (e.g. `rabitq-store`) hold a scratch per thread instead.
     pub fn search_with<R: Rng + ?Sized>(
         &self,
         query: &[f32],
@@ -397,21 +577,79 @@ impl IvfRabitq {
         cancel: &CancelToken,
     ) -> Option<(usize, usize)> {
         assert_eq!(query.len(), self.dim, "query dimensionality");
-        scratch.neighbors.clear();
-        scratch.stages.clear();
+        scratch.begin(k);
         if self.is_empty() || k == 0 {
             return Some((0, 0));
         }
-        let padded = self.quantizer.padded_dim();
-        // Stage tracing: `Instant::now()` is a vDSO clock read — no
-        // syscall, no allocation — so the hot path stays allocation-free
-        // with tracing always on (see `tests/alloc_free.rs`).
-        let mut t = Instant::now();
+        self.plan_into(query, scratch, rng);
+        let counts = self.scan_planned(query, nprobe, strategy, scratch, |id| id, cancel)?;
+        scratch.finish();
+        Some(counts)
+    }
+
+    /// Builds the query plan for `query` into `scratch`: `q − μ`, its one
+    /// rotation (charged to [`Stage::Rotate`]), and its one quantization
+    /// and LUT (charged to [`Stage::LutBuild`]). Any index sharing this
+    /// index's rotation and centre can then scan under the plan.
+    pub fn plan_into<R: Rng + ?Sized>(
+        &self,
+        query: &[f32],
+        scratch: &mut SearchScratch,
+        rng: &mut R,
+    ) {
+        assert_eq!(query.len(), self.dim, "query dimensionality");
+        let plan = &mut scratch.plan;
+        let t = Instant::now();
+        plan.centred.resize(self.dim, 0.0);
+        vecs::sub(query, &self.centre, &mut plan.centred);
+        self.quantizer.rotate_into(&plan.centred, &mut plan.rotated);
+        let t = lap(&mut scratch.stages, Stage::Rotate, t);
         self.quantizer
-            .rotate_into(query, &mut scratch.rotated_query);
-        self.coarse
-            .assign_top_n_into(query, nprobe.max(1), &mut scratch.probes);
-        t = lap(&mut scratch.stages, Stage::Rotate, t);
+            .prepare_centred_into(&plan.rotated, &mut plan.query, rng);
+        lap(&mut scratch.stages, Stage::LutBuild, t);
+    }
+
+    /// Scans this index under the plan in `scratch` (built by
+    /// [`IvfRabitq::plan_into`] on an index with the same rotation and
+    /// centre): probes the `nprobe` nearest buckets (charged to
+    /// [`Stage::Rotate`]), estimates their codes from the plan's one LUT
+    /// and re-ranks by `strategy` into the plan's one top-K, pushing each
+    /// row as `remap(local id)`. Returns `(n_estimated, n_reranked)`, or
+    /// `None` when `cancel` fired at a bucket boundary (the top-K then
+    /// holds partial results the caller must discard).
+    ///
+    /// # Panics
+    /// Panics if the plan was built for another code length.
+    pub fn scan_planned(
+        &self,
+        query: &[f32],
+        nprobe: usize,
+        strategy: RerankStrategy,
+        scratch: &mut SearchScratch,
+        remap: impl Fn(u32) -> u32,
+        cancel: &CancelToken,
+    ) -> Option<(usize, usize)> {
+        assert_eq!(query.len(), self.dim, "query dimensionality");
+        let SearchScratch {
+            plan,
+            top,
+            probes,
+            estimates,
+            pool,
+            stages,
+            ..
+        } = scratch;
+        assert_eq!(
+            plan.rotated.len(),
+            self.quantizer.padded_dim(),
+            "query plan built for another code length"
+        );
+        if self.is_empty() {
+            return Some((0, 0));
+        }
+        let mut t = Instant::now();
+        self.coarse.assign_top_n_into(query, nprobe.max(1), probes);
+        t = lap(stages, Stage::Rotate, t);
 
         let mut n_estimated = 0usize;
         let mut n_reranked = 0usize;
@@ -419,89 +657,72 @@ impl IvfRabitq {
             RerankStrategy::ErrorBoundWithEpsilon(e) => e,
             _ => self.quantizer.config().epsilon0,
         };
-        scratch.top.reset(k);
-        scratch.pool.clear();
+        pool.clear();
 
-        // Algorithm 2, once: probe a bucket, quantize the query against
-        // its centroid, estimate every code; the strategy only decides
-        // what happens to the estimates.
-        for pi in 0..scratch.probes.len() {
+        // Algorithm 2 over the shared plan: estimate every code of a
+        // probed bucket from the one LUT; the strategy only decides what
+        // happens to the estimates.
+        for &(c, centroid_dist_sq) in probes.iter() {
             if cancel.is_cancelled() {
-                scratch.neighbors.clear();
                 return None;
             }
-            let c = scratch.probes[pi].0;
             let bucket = &self.buckets[c];
             if bucket.ids.is_empty() {
                 continue;
             }
-            let rc = &self.rotated_centroids[c * padded..(c + 1) * padded];
-            self.quantizer.prepare_query_prerotated_into(
-                &scratch.rotated_query,
-                rc,
-                &mut scratch.query,
-                rng,
-            );
-            t = lap(&mut scratch.stages, Stage::LutBuild, t);
-            self.quantizer.estimate_batch_with_lut(
-                scratch.query.query(),
-                scratch.query.lut(),
+            self.quantizer.estimate_batch_centred(
+                &plan.query,
+                centroid_dist_sq,
                 &bucket.packed,
                 &bucket.codes,
+                &bucket.offsets,
                 epsilon0,
-                &mut scratch.estimates,
+                estimates,
             );
-            n_estimated += scratch.estimates.len();
-            let live = scratch
-                .estimates
+            n_estimated += estimates.len();
+            let live = estimates
                 .iter()
                 .zip(bucket.ids.iter())
                 .filter(|&(_, &id)| !self.is_deleted(id));
             match strategy {
                 RerankStrategy::ErrorBound | RerankStrategy::ErrorBoundWithEpsilon(_) => {
-                    t = lap(&mut scratch.stages, Stage::Scan, t);
+                    t = lap(stages, Stage::Scan, t);
                     for (est, &id) in live {
                         // The paper's rule: drop iff lower bound exceeds the
                         // current K-th best exact distance.
-                        if est.lower_bound < scratch.top.threshold() {
+                        if est.lower_bound < top.threshold() {
                             let exact = self.exact_distance(id, query);
                             n_reranked += 1;
-                            scratch.top.push(id, exact);
+                            top.push(remap(id), exact);
                         }
                     }
-                    t = lap(&mut scratch.stages, Stage::Rerank, t);
+                    t = lap(stages, Stage::Rerank, t);
                 }
                 RerankStrategy::TopCandidates(_) => {
-                    scratch
-                        .pool
-                        .extend(live.map(|(est, &id)| (id, est.dist_sq)));
-                    t = lap(&mut scratch.stages, Stage::Scan, t);
+                    pool.extend(live.map(|(est, &id)| (id, est.dist_sq)));
+                    t = lap(stages, Stage::Scan, t);
                 }
                 RerankStrategy::None => {
                     for (est, &id) in live {
-                        scratch.top.push(id, est.dist_sq);
+                        top.push(remap(id), est.dist_sq);
                     }
-                    t = lap(&mut scratch.stages, Stage::Scan, t);
+                    t = lap(stages, Stage::Scan, t);
                 }
             }
         }
         if let RerankStrategy::TopCandidates(rerank_n) = strategy {
-            let take = rerank_n.max(k).min(scratch.pool.len());
+            let take = rerank_n.max(top.k()).min(pool.len());
             if take > 0 {
-                scratch
-                    .pool
-                    .select_nth_unstable_by(take - 1, |a, b| a.1.total_cmp(&b.1));
-                scratch.pool.truncate(take);
+                pool.select_nth_unstable_by(take - 1, |a, b| a.1.total_cmp(&b.1));
+                pool.truncate(take);
             }
-            for &(id, _) in &scratch.pool {
+            for &(id, _) in pool.iter() {
                 let exact = self.exact_distance(id, query);
                 n_reranked += 1;
-                scratch.top.push(id, exact);
+                top.push(remap(id), exact);
             }
-            t = lap(&mut scratch.stages, Stage::Rerank, t);
+            lap(stages, Stage::Rerank, t);
         }
-        scratch.top.drain_sorted_into(&mut scratch.neighbors);
-        lap(&mut scratch.stages, Stage::Merge, t);
         Some((n_estimated, n_reranked))
     }
 
@@ -557,8 +778,21 @@ impl IvfRabitq {
         Self::read(&mut r)
     }
 
-    /// Deserializes an index written by [`IvfRabitq::write`].
+    /// Deserializes an index written by [`IvfRabitq::write`], centred on
+    /// the size-weighted mean of its centroids (the centre
+    /// [`IvfRabitq::build`] gives it; centres are never persisted).
     pub fn read<R: std::io::Read>(r: &mut R) -> std::io::Result<Self> {
+        Self::read_centred(r, None)
+    }
+
+    /// [`IvfRabitq::read`] about a given centre (`None` = the
+    /// size-weighted mean of the centroids): the offsets are computed once,
+    /// while the buckets are rebuilt. A stored index whose dimension is
+    /// not the centre's length is `InvalidData`.
+    pub fn read_centred<R: std::io::Read>(
+        r: &mut R,
+        centre: Option<&[f32]>,
+    ) -> std::io::Result<Self> {
         use rabitq_core::persist as p;
         let section = p::read_header(r)?;
         if section == "ivf-rabitq" {
@@ -573,6 +807,11 @@ impl IvfRabitq {
             )));
         }
         let dim = p::read_usize(r)?;
+        if centre.is_some_and(|c| c.len() != dim) {
+            return Err(p::invalid(format!(
+                "index is {dim}-dimensional, its centre is not"
+            )));
+        }
         let quantizer = Rabitq::read(&mut *r)?;
         if quantizer.dim() != dim {
             return Err(p::invalid("quantizer dimensionality mismatch"));
@@ -598,7 +837,12 @@ impl IvfRabitq {
                 return Err(p::invalid("bucket codes disagree with ids"));
             }
             let packed = quantizer.pack(&codes);
-            buckets.push(Bucket { ids, codes, packed });
+            buckets.push(Bucket {
+                ids,
+                codes,
+                packed,
+                offsets: Vec::new(),
+            });
         }
         let data = p::read_f32_vec(&mut *r)?;
         if data.len() % dim != 0 {
@@ -635,16 +879,20 @@ impl IvfRabitq {
             }
         }
         let n_deleted = deleted.iter().map(|w| w.count_ones() as usize).sum();
-        Ok(Self {
+        let mut index = Self {
             dim,
             quantizer,
             coarse,
             rotated_centroids,
+            centre: Vec::new(),
             buckets,
             data,
             deleted: deleted.into_iter().map(AtomicU64::new).collect(),
             n_deleted: AtomicUsize::new(n_deleted),
-        })
+        };
+        let centre = centre.map_or_else(|| Self::centroid_mean(dim, [&index]), <[f32]>::to_vec);
+        index.recentre(&centre);
+        Ok(index)
     }
 
     /// Total bit entropy of all stored codes divided by total code length —

@@ -74,7 +74,7 @@ use crate::segment::Segment;
 use crate::snapshot::{CollectionReader, Snapshot, SnapshotSlot};
 use crate::wal::{Wal, WalRecord};
 use rabitq_core::RabitqConfig;
-use rabitq_ivf::IvfConfig;
+use rabitq_ivf::{IvfConfig, IvfRabitq};
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -310,7 +310,7 @@ impl Collection {
         // Load the segment set, quarantining deterministic corruption:
         // the damaged file is renamed aside for forensics, the entry is
         // dropped, and the collection serves what remains (degraded).
-        let mut segments = Vec::with_capacity(manifest.segments.len());
+        let mut loaded = Vec::with_capacity(manifest.segments.len());
         let mut kept = Vec::with_capacity(manifest.segments.len());
         // Corrupt files whose quarantine rename failed: they keep their
         // seg-*.rbq name yet leave the manifest, so the orphan GC below
@@ -320,14 +320,22 @@ impl Collection {
         for meta in &manifest.segments {
             let path = dir.join(&meta.file);
             let t0 = Instant::now();
-            match Segment::load_with_io(&path, io.as_ref()) {
+            // A segment under another rotation than the manifest's cannot
+            // be scanned under the collection's one query plan: it is
+            // quarantined like a corrupt file.
+            let opened = Segment::load_with_io(&path, io.as_ref(), manifest.centre.as_deref())
+                .and_then(|segment| {
+                    segment.check_rotation(config.dim, &manifest.rabitq)?;
+                    Ok(segment)
+                });
+            match opened {
                 Ok(segment) => {
                     StoreMetrics::bump(&metrics.segment_opens);
                     metrics.segment_open_us.record(t0.elapsed());
                     for &id in &meta.tombstones {
                         segment.delete(id);
                     }
-                    segments.push(Arc::new(segment));
+                    loaded.push(segment);
                     kept.push(meta.clone());
                 }
                 Err(e)
@@ -372,6 +380,17 @@ impl Collection {
                 Err(e) => return Err(e),
             }
         }
+        // A manifest without a centre but with segments (version 1)
+        // derives it from them; the next manifest switch records it.
+        if manifest.centre.is_none() && !loaded.is_empty() {
+            let centre = IvfRabitq::centroid_mean(config.dim, loaded.iter().map(Segment::index));
+            for segment in &mut loaded {
+                segment.recentre(&centre);
+            }
+            manifest.centre = Some(centre);
+            health.note("derived the collection centre from its segments");
+        }
+        let segments: Vec<Arc<Segment>> = loaded.into_iter().map(Arc::new).collect();
         if kept.len() != manifest.segments.len() {
             manifest.segments = kept;
             // Best-effort: persist the post-quarantine manifest so later
@@ -830,6 +849,7 @@ impl Collection {
                 self.config.dim,
                 &self.config.ivf,
                 self.config.rabitq,
+                self.manifest.centre.as_deref(),
             );
             segment.write(&mut bytes)?;
             retry_or_freeze(
@@ -845,8 +865,12 @@ impl Collection {
         // Stage the new manifest; in-memory state only changes after the
         // rename lands.
         let mut staged = self.manifest.clone();
-        if replacement.is_some() {
+        if let Some(segment) = &replacement {
             staged.next_segment_seq += 1;
+            // The first segment's own centre becomes the collection's.
+            staged
+                .centre
+                .get_or_insert_with(|| segment.index().centre().to_vec());
         }
         if sealing {
             staged.next_id = self.next_id;

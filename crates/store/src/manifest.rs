@@ -8,6 +8,12 @@
 //! either the old complete state or the new complete state, never a torn
 //! mixture. Segment files orphaned by a crash between "write new segment"
 //! and "switch manifest" are simply never referenced again.
+//!
+//! Version 2 ([`MANIFEST_SECTION`]) adds the collection's centre `μ`, the
+//! point every query plan quantizes about, recorded once at the first
+//! seal. A version 1 manifest ([`MANIFEST_SECTION_V1`]) still opens: it
+//! loads with no centre, the collection derives one from its segments,
+//! and the next manifest switch writes version 2.
 
 use crate::io::{atomic_write, DiskIo, StorageIo};
 use rabitq_core::persist as p;
@@ -15,8 +21,12 @@ use rabitq_core::{RabitqConfig, RotatorKind};
 use std::io;
 use std::path::Path;
 
-/// Section tag in the manifest file header.
-pub const MANIFEST_SECTION: &str = "store-manifest";
+/// Section tag in the manifest file header (version 2: with the centre).
+pub const MANIFEST_SECTION: &str = "store-manifest-v2";
+
+/// Section tag of version 1, written before the collection had a centre.
+/// Still readable; never written.
+pub const MANIFEST_SECTION_V1: &str = "store-manifest";
 
 /// File name of the manifest within a collection directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -53,6 +63,11 @@ pub struct Manifest {
     /// Memtable seal threshold at the last write (a tuning default for
     /// tools that open the collection without their own config).
     pub memtable_capacity: usize,
+    /// The collection's centre `μ` (`dim` finite floats): every segment's
+    /// code offsets and every query plan are taken about it. Recorded at
+    /// the first seal and never changed; `None` before it (and when a
+    /// version 1 manifest was read).
+    pub centre: Option<Vec<f32>>,
     /// The live segment set, in creation order.
     pub segments: Vec<SegmentMeta>,
 }
@@ -67,6 +82,7 @@ impl Manifest {
             next_segment_seq: 0,
             rabitq: RabitqConfig::default(),
             memtable_capacity: 4096,
+            centre: None,
             segments: Vec::new(),
         }
     }
@@ -81,7 +97,7 @@ impl Manifest {
         let bytes = io.read(path)?;
         let mut r = bytes.as_slice();
         let section = p::read_header(&mut r)?;
-        if section != MANIFEST_SECTION {
+        if section != MANIFEST_SECTION && section != MANIFEST_SECTION_V1 {
             return Err(p::invalid(format!("expected manifest, got {section:?}")));
         }
         let dim = p::read_usize(&mut r)?;
@@ -106,6 +122,23 @@ impl Manifest {
             },
         };
         let memtable_capacity = p::read_usize(&mut r)?;
+        let centre = if section == MANIFEST_SECTION_V1 {
+            None
+        } else {
+            let centre = p::read_f32_vec(&mut r)?;
+            if centre.is_empty() {
+                None
+            } else if centre.len() != dim {
+                return Err(p::invalid(format!(
+                    "centre has {} entries, collection is {dim}-dimensional",
+                    centre.len()
+                )));
+            } else if !centre.iter().all(|v| v.is_finite()) {
+                return Err(p::invalid("centre has a non-finite entry"));
+            } else {
+                Some(centre)
+            }
+        };
         let n_segments = p::read_usize(&mut r)?;
         if n_segments > 1 << 20 {
             return Err(p::invalid("unreasonable segment count"));
@@ -123,6 +156,7 @@ impl Manifest {
             next_segment_seq,
             rabitq,
             memtable_capacity,
+            centre,
             segments,
         })
     }
@@ -156,6 +190,7 @@ impl Manifest {
         )?;
         p::write_u64(&mut buf, self.rabitq.padded_dim.unwrap_or(0) as u64)?;
         p::write_usize(&mut buf, self.memtable_capacity)?;
+        p::write_f32_slice(&mut buf, self.centre.as_deref().unwrap_or(&[]))?;
         p::write_usize(&mut buf, self.segments.len())?;
         for meta in &self.segments {
             p::write_str(&mut buf, &meta.file)?;

@@ -4,10 +4,13 @@
 //! A segment is born when the memtable seals (or when compaction merges
 //! older segments) and never changes shape again — the only permitted
 //! mutation is tombstoning, which the inner [`IvfRabitq`] tracks as a
-//! bitmap without disturbing its fast-scan packing. Queries run the
-//! paper's error-bound re-ranking inside the segment, so the distances a
-//! segment reports are exact and the estimator's unbiasedness guarantee is
-//! untouched by the engine layered on top.
+//! bitmap without disturbing its fast-scan packing. Every segment of a
+//! collection shares one rotation and one centre `μ` (the manifest's), so
+//! a query is planned once and each segment scans under that plan with
+//! the paper's error-bound re-ranking; the distances a segment reports are
+//! exact and the estimator's unbiasedness guarantee is untouched by the
+//! engine layered on top. The centre and the code offsets derived from it
+//! live in memory only: a segment file does not depend on them.
 //!
 //! On disk a segment is `[header][payload length][payload][fnv1a]`: the
 //! whole payload (remap table + inner index) is covered by a checksum
@@ -50,8 +53,10 @@ pub struct Segment {
 
 impl Segment {
     /// Builds a fresh segment over `(global id, row)` pairs flattened into
-    /// `data`. Cluster count follows the `4√n` rule of the paper's setup;
-    /// the remaining knobs come from the caller's templates.
+    /// `data`, centred on the collection's `centre` (`None` = the
+    /// segment's own centroid mean, which the first seal records as the
+    /// collection's). Cluster count follows the `4√n` rule of the paper's
+    /// setup; the remaining knobs come from the caller's templates.
     pub fn build(
         name: String,
         ids: Vec<u32>,
@@ -59,11 +64,12 @@ impl Segment {
         dim: usize,
         ivf_template: &IvfConfig,
         rabitq: RabitqConfig,
+        centre: Option<&[f32]>,
     ) -> Self {
         assert_eq!(ids.len() * dim, data.len(), "ids/data shape");
         let mut ivf = ivf_template.clone();
         ivf.n_clusters = IvfConfig::clusters_for(ids.len()).min(ids.len());
-        let index = IvfRabitq::build(data, dim, &ivf, rabitq);
+        let index = IvfRabitq::build_centred(data, dim, &ivf, rabitq, centre);
         let lookup = ids
             .iter()
             .enumerate()
@@ -92,17 +98,19 @@ impl Segment {
     }
 
     /// Deserializes a segment written by [`Segment::write`]; `name` is the
-    /// file name it was read from. Verifies the payload checksum before
+    /// file name it was read from, `centre` the collection's (`None` = the
+    /// segment's own centroid mean). Verifies the payload checksum before
     /// parsing, so corruption anywhere in the file surfaces as an
-    /// `InvalidData` error rather than silently wrong codes.
-    pub fn read<R: Read>(r: &mut R, name: String) -> io::Result<Self> {
+    /// `InvalidData` error rather than silently wrong codes (as is a
+    /// segment whose dimension is not the centre's length).
+    pub fn read<R: Read>(r: &mut R, name: String, centre: Option<&[f32]>) -> io::Result<Self> {
         let section = p::read_header(r)?;
         if section == SEGMENT_SECTION_V1 {
             // Legacy layout: the payload follows the header directly, with
             // nothing to checksum-verify. Corruption inside it still
             // surfaces as `InvalidData` from the inner parsers.
             let ids = p::read_u32_vec(r)?;
-            let index = IvfRabitq::read(r)?;
+            let index = IvfRabitq::read_centred(r, centre)?;
             return Self::from_parts(name, ids, index);
         }
         if section != SEGMENT_SECTION {
@@ -137,7 +145,7 @@ impl Segment {
 
         let mut cursor = payload.as_slice();
         let ids = p::read_u32_vec(&mut cursor)?;
-        let index = IvfRabitq::read(&mut cursor)?;
+        let index = IvfRabitq::read_centred(&mut cursor, centre)?;
         if !cursor.is_empty() {
             return Err(p::invalid("segment payload has trailing bytes"));
         }
@@ -163,20 +171,62 @@ impl Segment {
         })
     }
 
-    /// Loads a segment from `path` on the real filesystem.
+    /// Loads a segment from `path` on the real filesystem, centred on its
+    /// own centroid mean (a segment searched on its own).
     pub fn load(path: &Path) -> io::Result<Self> {
-        Self::load_with_io(path, &DiskIo)
+        Self::load_with_io(path, &DiskIo, None)
     }
 
-    /// Loads (and checksum-verifies) a segment through a [`StorageIo`].
-    pub fn load_with_io(path: &Path, io: &dyn StorageIo) -> io::Result<Self> {
+    /// Loads (and checksum-verifies) a segment through a [`StorageIo`],
+    /// centred as [`Segment::read`] says.
+    pub fn load_with_io(
+        path: &Path,
+        io: &dyn StorageIo,
+        centre: Option<&[f32]>,
+    ) -> io::Result<Self> {
         let name = path
             .file_name()
             .and_then(|n| n.to_str())
             .ok_or_else(|| p::invalid("segment path has no file name"))?
             .to_string();
         let bytes = io.read(path)?;
-        Self::read(&mut bytes.as_slice(), name)
+        Self::read(&mut bytes.as_slice(), name, centre)
+    }
+
+    /// Checks that the segment was encoded under the collection's
+    /// rotation: same dimension, rotator kind, seed and code length as
+    /// `rabitq` (the manifest's). A query plan is rotated once for every
+    /// segment, so a segment under another rotation would be scanned with
+    /// a query it cannot read; it is reported as `InvalidData`, like a
+    /// corrupt file.
+    pub fn check_rotation(&self, dim: usize, rabitq: &RabitqConfig) -> io::Result<()> {
+        let quantizer = self.index.quantizer();
+        let have = quantizer.config();
+        let padded = rabitq.rotator.code_length(dim, rabitq.padded_dim);
+        if quantizer.dim() != dim
+            || have.rotator != rabitq.rotator
+            || have.seed != rabitq.seed
+            || quantizer.padded_dim() != padded
+        {
+            return Err(p::invalid(format!(
+                "segment {:?} is encoded under {:?} seed {:#x} at {}×{} bits, \
+                 the collection under {:?} seed {:#x} at {dim}×{padded}",
+                self.name,
+                have.rotator,
+                have.seed,
+                quantizer.dim(),
+                quantizer.padded_dim(),
+                rabitq.rotator,
+                rabitq.seed,
+            )));
+        }
+        Ok(())
+    }
+
+    /// Re-centres the segment on the collection's `centre` (see
+    /// [`IvfRabitq::recentre`]).
+    pub fn recentre(&mut self, centre: &[f32]) {
+        self.index.recentre(centre);
     }
 
     /// File name within the collection directory.
@@ -243,11 +293,13 @@ impl Segment {
             .map(|(local, &global)| (global, self.index.vector(local as u32)))
     }
 
-    /// Searches the segment through a reused [`SearchScratch`] — the
-    /// allocation-free path for threads that scan many segments per
-    /// query. Neighbors land in `scratch.neighbors` as **global** ids with
-    /// exact (re-ranked) distances, ascending; the inner index already
-    /// skips tombstones. The return value is `(n_estimated, n_reranked)`.
+    /// Searches the segment on its own — a one-segment collection — through
+    /// a reused [`SearchScratch`]: plans the query on this segment, scans
+    /// it, and leaves the neighbors in `scratch.neighbors` as **global**
+    /// ids with exact (re-ranked) distances, ascending; tombstones are
+    /// skipped. The return value is `(n_estimated, n_reranked)`. A
+    /// collection plans once and calls [`Segment::scan`] per segment
+    /// instead.
     pub fn search_into<R: Rng + ?Sized>(
         &self,
         query: &[f32],
@@ -256,37 +308,38 @@ impl Segment {
         scratch: &mut SearchScratch,
         rng: &mut R,
     ) -> (usize, usize) {
-        self.search_into_cancellable(query, k, nprobe, scratch, rng, &CancelToken::none())
-            .expect("a never-cancelling token cannot cancel")
+        scratch.begin(k);
+        if k == 0 {
+            return (0, 0);
+        }
+        self.index.plan_into(query, scratch, rng);
+        let counts = self
+            .scan(query, nprobe, scratch, &CancelToken::none())
+            .expect("a never-cancelling token cannot cancel");
+        scratch.finish();
+        counts
     }
 
-    /// [`Segment::search_into`] with cooperative cancellation: the token
-    /// is polled at every probed-bucket boundary inside the index scan.
-    /// Returns `None` (with `scratch.neighbors` cleared) if the token
-    /// cancelled before the scan finished; a completed scan is
-    /// bit-identical to the uncancelled path under the same RNG stream.
-    pub fn search_into_cancellable<R: Rng + ?Sized>(
+    /// Scans the segment under the query plan in `scratch` (built by any
+    /// segment of the same collection), pushing **global** ids into the
+    /// plan's one top-K. The token is polled at every probed-bucket
+    /// boundary; `None` means it fired and the top-K holds partial
+    /// results. Returns `(n_estimated, n_reranked)`.
+    pub fn scan(
         &self,
         query: &[f32],
-        k: usize,
         nprobe: usize,
         scratch: &mut SearchScratch,
-        rng: &mut R,
         cancel: &CancelToken,
     ) -> Option<(usize, usize)> {
-        let counts = self.index.search_into_cancellable(
+        self.index.scan_planned(
             query,
-            k,
             nprobe,
             RerankStrategy::ErrorBound,
             scratch,
-            rng,
+            |local| self.ids[local as usize],
             cancel,
-        )?;
-        for entry in &mut scratch.neighbors {
-            entry.0 = self.ids[entry.0 as usize];
-        }
-        Some(counts)
+        )
     }
 }
 
@@ -308,6 +361,7 @@ mod tests {
             dim,
             &IvfConfig::new(4),
             RabitqConfig::default(),
+            None,
         );
         (seg, data)
     }
@@ -340,7 +394,7 @@ mod tests {
 
         let mut buf = Vec::new();
         seg.write(&mut buf).unwrap();
-        let restored = Segment::read(&mut buf.as_slice(), seg.name().to_string()).unwrap();
+        let restored = Segment::read(&mut buf.as_slice(), seg.name().to_string(), None).unwrap();
         assert_eq!(restored.n_live(), 119);
         assert!(!restored.contains_live(100));
         let neighbors = search(&restored, &data[0..8], 5, 2);
@@ -357,7 +411,7 @@ mod tests {
         let mut flipped = pristine.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x01;
-        let err = match Segment::read(&mut flipped.as_slice(), "seg.rbq".into()) {
+        let err = match Segment::read(&mut flipped.as_slice(), "seg.rbq".into(), None) {
             Err(e) => e,
             Ok(_) => panic!("bit flip went undetected"),
         };
@@ -366,10 +420,10 @@ mod tests {
         // So is a truncated file (torn write of the segment itself).
         let mut torn = pristine.clone();
         torn.truncate(torn.len() - 5);
-        assert!(Segment::read(&mut torn.as_slice(), "seg.rbq".into()).is_err());
+        assert!(Segment::read(&mut torn.as_slice(), "seg.rbq".into(), None).is_err());
 
         // And the pristine bytes still parse.
-        assert!(Segment::read(&mut pristine.as_slice(), "seg.rbq".into()).is_ok());
+        assert!(Segment::read(&mut pristine.as_slice(), "seg.rbq".into(), None).is_ok());
     }
 
     #[test]
@@ -381,7 +435,7 @@ mod tests {
         p::write_u32_slice(&mut v1, &seg.ids).unwrap();
         seg.index.write(&mut v1).unwrap();
 
-        let restored = Segment::read(&mut v1.as_slice(), "seg-legacy.rbq".into()).unwrap();
+        let restored = Segment::read(&mut v1.as_slice(), "seg-legacy.rbq".into(), None).unwrap();
         assert_eq!(restored.len(), 80);
         let neighbors = search(&restored, &data[0..8], 1, 3);
         assert_eq!(neighbors[0].0, 100); // local 0 → global 100
@@ -393,7 +447,7 @@ mod tests {
         p::write_header(&mut evil, SEGMENT_SECTION).unwrap();
         p::write_u64(&mut evil, 1 << 39).unwrap(); // 512 GiB claimed
         evil.extend_from_slice(&[0u8; 16]); // ...16 bytes present
-        let err = match Segment::read(&mut evil.as_slice(), "seg.rbq".into()) {
+        let err = match Segment::read(&mut evil.as_slice(), "seg.rbq".into(), None) {
             Err(e) => e,
             Ok(_) => panic!("corrupt length field went undetected"),
         };

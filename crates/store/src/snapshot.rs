@@ -26,17 +26,22 @@
 //!
 //! ## One query path
 //!
-//! Every public search runs the same private fan-out core,
-//! `Snapshot::search_one`: scan the frozen memtable, scan the segments in
-//! order through the calling thread's thread-local [`SearchScratch`],
-//! merge in segment order. [`Snapshot::search`] feeds it the caller's RNG;
-//! [`Snapshot::search_many`] and [`Snapshot::search_many_cancellable`]
-//! feed it one RNG per (query, segment) task derived from a caller seed,
-//! and fan the *queries* out over the process-wide persistent
-//! [`WorkerPool`] — threads are created once and parked between calls, so
-//! a batch never pays thread startup. The thread-local scratch is reused
-//! across queries *and* across batches, which keeps the steady state
-//! allocation-free, and the per-task seeding makes batch results
+//! Every public search runs the same private core, `Snapshot::search_one`,
+//! through the calling thread's thread-local [`SearchScratch`]: arm the
+//! scratch's one top-K, scan the frozen memtable into it, build **one**
+//! query plan (one rotation of `q − μ`, one quantization, one LUT — every
+//! segment shares the manifest's rotation and centre), scan every segment
+//! under that plan into the same top-K, and drain it. The memtable's exact
+//! distances and each segment's re-ranked rows tighten the error-bound
+//! threshold for every later segment. [`Snapshot::search`] feeds the plan
+//! the caller's RNG; [`Snapshot::search_many`] and
+//! [`Snapshot::search_many_cancellable`] derive one RNG per query from a
+//! caller seed, `task_seed(seed, query)`, and fan the *queries* out over
+//! the process-wide persistent [`WorkerPool`] — threads are created once
+//! and parked between calls, so a batch never pays thread startup. The
+//! thread-local scratch is reused across queries *and* across batches,
+//! which keeps the steady state allocation-free apart from the returned
+//! neighbor list, and the per-query seeding makes batch results
 //! **bit-identical for every thread count** — the scheduler can never
 //! change an answer.
 
@@ -47,8 +52,8 @@ use crate::observe::StoreMetrics;
 use crate::pool::WorkerPool;
 use crate::segment::Segment;
 use rabitq_core::RabitqConfig;
-use rabitq_ivf::{CancelToken, SearchResult, SearchScratch, TopK};
-use rabitq_metrics::{Stage, StageNanos};
+use rabitq_ivf::{CancelToken, SearchResult, SearchScratch};
+use rabitq_metrics::Stage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::{RefCell, UnsafeCell};
@@ -102,9 +107,8 @@ pub struct ParallelOptions {
     /// Worker threads (clamped to the available work; `0` and `1` both
     /// mean serial).
     pub threads: usize,
-    /// Seed from which every (query, segment) task RNG is derived. Two
-    /// runs with the same seed return bit-identical results regardless of
-    /// `threads`.
+    /// Seed from which every query's RNG is derived. Two runs with the
+    /// same seed return bit-identical results regardless of `threads`.
     pub seed: u64,
 }
 
@@ -136,7 +140,7 @@ impl ParallelOptions {
 /// abandoned at a cancellation checkpoint. Cancellation is per query —
 /// one expired deadline never poisons its batchmates, whose outcomes
 /// (and bits) are identical to an all-healthy batch thanks to the
-/// per-(query, segment) RNG seeding.
+/// per-query RNG seeding.
 #[derive(Debug)]
 pub enum SearchOutcome {
     /// The query ran to completion.
@@ -168,13 +172,11 @@ pub struct Snapshot {
     segments: Vec<Arc<Segment>>,
 }
 
-/// The SplitMix64-style finalizer deriving one task seed per
-/// (query, segment) pair. Execution order and thread placement therefore
-/// cannot change any RNG stream.
-fn task_seed(seed: u64, query: usize, segment: usize) -> u64 {
-    let mut z = seed
-        ^ (query as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (segment as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+/// The SplitMix64-style finalizer deriving one seed per query: its plan
+/// is the only consumer of randomness, so execution order and thread
+/// placement cannot change any RNG stream.
+fn task_seed(seed: u64, query: usize) -> u64 {
+    let mut z = seed ^ (query as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -220,7 +222,7 @@ impl Snapshot {
     /// Serial search with a caller-provided RNG — the
     /// [`rabitq_ivf::IvfRabitq::search`] contract: exact squared
     /// distances, ascending, memtable scanned first, then segments in
-    /// order sharing `rng`.
+    /// order under one plan drawn from `rng`.
     pub fn search<R: Rng + ?Sized>(
         &self,
         query: &[f32],
@@ -229,11 +231,8 @@ impl Snapshot {
         rng: &mut R,
     ) -> SearchResult {
         assert_eq!(query.len(), self.dim, "query dimensionality");
-        let cancel = CancelToken::none();
-        self.search_one(query, k, &cancel, |_, segment, scratch| {
-            segment.search_into_cancellable(query, k, nprobe, scratch, rng, &cancel)
-        })
-        .expect("a never-cancelling token cannot cancel")
+        self.search_one(query, k, nprobe, rng, &CancelToken::none())
+            .expect("a never-cancelling token cannot cancel")
     }
 
     /// Batch search: `queries` is a flat `n × dim` buffer; returns one
@@ -242,8 +241,8 @@ impl Snapshot {
     /// [`WorkerPool`] (submitter included), each reusing its thread-local
     /// [`SearchScratch`] across all queries, segments, and batches — the
     /// allocation-free path without per-call thread startup. Results are
-    /// bit-identical for every thread count (per-(query, segment) seeded
-    /// RNGs, merge in segment order).
+    /// bit-identical for every thread count (per-query seeded RNGs,
+    /// segments scanned in order).
     pub fn search_many(
         &self,
         queries: &[f32],
@@ -263,7 +262,7 @@ impl Snapshot {
     /// segment boundary and yields [`SearchOutcome::Cancelled`]; its
     /// batchmates are untouched — their results are bit-identical to an
     /// all-healthy [`Snapshot::search_many`] run with the same seed,
-    /// because every (query, segment) task derives its own RNG.
+    /// because every query derives its own RNG.
     pub fn search_many_cancellable(
         &self,
         queries: &[f32],
@@ -284,9 +283,9 @@ impl Snapshot {
     }
 
     /// The batch dispatch shared by [`Snapshot::search_many`] and
-    /// [`Snapshot::search_many_cancellable`]: runs the fan-out core for
-    /// every query of the flat `n × dim` buffer, each segment scan drawing
-    /// from its own RNG derived from `(opts.seed, query, segment)`, and
+    /// [`Snapshot::search_many_cancellable`]: runs the search core for
+    /// every query of the flat `n × dim` buffer, each query's plan drawing
+    /// from its own RNG derived from `(opts.seed, query)`, and
     /// returns the outcomes in query order (`None` = that query's token
     /// cancelled; without `tokens` nothing can). Inline when one thread is
     /// asked for or there is one query, otherwise claimed dynamically by
@@ -308,10 +307,8 @@ impl Snapshot {
         let one = |qi: usize| {
             let query = &queries[qi * self.dim..(qi + 1) * self.dim];
             let cancel = tokens.map_or(&never, |tokens| &tokens[qi]);
-            self.search_one(query, k, cancel, |si, segment, scratch| {
-                let mut rng = StdRng::seed_from_u64(task_seed(opts.seed, qi, si));
-                segment.search_into_cancellable(query, k, nprobe, scratch, &mut rng, cancel)
-            })
+            let mut rng = StdRng::seed_from_u64(task_seed(opts.seed, qi));
+            self.search_one(query, k, nprobe, &mut rng, cancel)
         };
         let threads = opts.threads.max(1).min(n);
         if threads <= 1 {
@@ -325,53 +322,54 @@ impl Snapshot {
         slots.into_results()
     }
 
-    /// The one fan-out core: memtable scan, then `scan_segment(si, segment,
-    /// scratch)` for each segment in order through this thread's
-    /// [`SearchScratch`], then the merge. `scan_segment` owns the RNG
-    /// choice (the caller's shared stream, or one per task) and returns
-    /// `None` when its token cancelled mid-scan; the token is also polled
-    /// here before the memtable scan. `None` means the query was
-    /// abandoned; nothing partial is returned.
-    fn search_one(
+    /// The one search core, through this thread's [`SearchScratch`]: the
+    /// memtable scan seeds the scratch's top-K, the first segment builds
+    /// the query plan from `rng` (every segment shares its rotation and
+    /// centre), every segment scans under it into the same top-K, and the
+    /// top-K drains into the result — the only allocation at steady state.
+    /// The token is polled before the memtable scan, between segments and
+    /// at every probed bucket; `None` means the query was abandoned and
+    /// nothing partial is returned.
+    fn search_one<R: Rng + ?Sized>(
         &self,
         query: &[f32],
         k: usize,
+        nprobe: usize,
+        rng: &mut R,
         cancel: &CancelToken,
-        mut scan_segment: impl FnMut(usize, &Segment, &mut SearchScratch) -> Option<(usize, usize)>,
     ) -> Option<SearchResult> {
-        let mut top = TopK::new(k);
-        let mut stages = StageNanos::new();
-        let mut n_estimated = 0usize;
-        let mut n_reranked = 0usize;
-        if k > 0 {
-            if cancel.is_cancelled() {
-                return None;
-            }
-            let t0 = Instant::now();
-            n_reranked += self.memtable.scan_into(query, &mut top);
-            stages.add_ns(Stage::Rerank, ns_since(t0));
-            SCRATCH.with(|s| {
-                let scratch = &mut *s.borrow_mut();
-                for (si, segment) in self.segments.iter().enumerate() {
-                    let (e, r) = scan_segment(si, segment, scratch)?;
-                    stages.merge(&scratch.stages);
+        SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            scratch.begin(k);
+            let mut n_estimated = 0usize;
+            let mut n_reranked = 0usize;
+            if k > 0 {
+                if cancel.is_cancelled() {
+                    return None;
+                }
+                let t0 = Instant::now();
+                n_reranked += self.memtable.scan_into(query, scratch.top_mut());
+                scratch.stages.add_ns(Stage::Rerank, ns_since(t0));
+                if let Some(first) = self.segments.first() {
+                    first.index().plan_into(query, scratch, rng);
+                }
+                for segment in &self.segments {
+                    if cancel.is_cancelled() {
+                        return None;
+                    }
+                    let (e, r) = segment.scan(query, nprobe, scratch, cancel)?;
                     n_estimated += e;
                     n_reranked += r;
-                    for &(id, dist) in &scratch.neighbors {
-                        top.push(id, dist);
-                    }
                 }
-                Some(())
-            })?;
-        }
-        let t0 = Instant::now();
-        let neighbors = top.into_sorted();
-        stages.add_ns(Stage::Merge, ns_since(t0));
-        Some(SearchResult {
-            neighbors,
-            n_estimated,
-            n_reranked,
-            stages,
+            }
+            let mut neighbors = Vec::new();
+            scratch.finish_into(&mut neighbors);
+            Some(SearchResult {
+                neighbors,
+                n_estimated,
+                n_reranked,
+                stages: scratch.stages,
+            })
         })
     }
 }
@@ -499,18 +497,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn task_seeds_are_distinct_across_queries_and_segments() {
+    fn task_seeds_are_distinct_across_queries() {
         let mut seen = std::collections::HashSet::new();
-        for qi in 0..50 {
-            for si in 0..8 {
-                assert!(
-                    seen.insert(task_seed(42, qi, si)),
-                    "collision at ({qi},{si})"
-                );
-            }
+        for qi in 0..400 {
+            assert!(seen.insert(task_seed(42, qi)), "collision at {qi}");
         }
         // And the derivation is pure: same inputs, same seed.
-        assert_eq!(task_seed(7, 3, 1), task_seed(7, 3, 1));
-        assert_ne!(task_seed(7, 3, 1), task_seed(8, 3, 1));
+        assert_eq!(task_seed(7, 3), task_seed(7, 3));
+        assert_ne!(task_seed(7, 3), task_seed(8, 3));
     }
 }

@@ -8,7 +8,7 @@
 //! the default is only allowed to be the default while it passes the same
 //! checks.
 
-use rabitq::core::{Rabitq, RabitqConfig, RotatorKind};
+use rabitq::core::{QueryScratch, Rabitq, RabitqConfig, RotatorKind};
 use rabitq::data::{generate, DatasetSpec, Profile};
 use rabitq::math::rng::standard_normal_vec;
 use rabitq::math::special::expected_code_alignment;
@@ -258,20 +258,26 @@ struct CollectionErrors {
 /// Builds a collection the way an operator would — inserts through the WAL,
 /// three seals at the memtable threshold, tombstones in every segment and
 /// in the memtable, rows left unsealed — then recomputes, from the segment
-/// files it wrote, the estimate of every live code against every query.
+/// files and the manifest it wrote, the estimate of every live code against
+/// every query through the engine's shared query plan: the manifest's
+/// centre `μ`, one quantised `w = P⁻¹(q − μ)` per query for all segments,
+/// and each code's offset `g = ⟨x̄, P⁻¹(c − μ)⟩`. Every row and query is
+/// shifted by `shift` in each coordinate, which moves the data's mean away
+/// from the origin without changing a single distance.
 fn collection_errors(
     rotator: RotatorKind,
     dim: usize,
     rows_per_segment: usize,
     seed: u64,
+    shift: f32,
 ) -> CollectionErrors {
     const K: usize = 10;
     let dir = std::env::temp_dir().join(format!(
-        "rabitq-stat-{rotator:?}-{dim}-{seed}-{}",
+        "rabitq-stat-{rotator:?}-{dim}-{seed}-{shift}-{}",
         std::process::id()
     ));
     std::fs::remove_dir_all(&dir).ok();
-    let ds = generate(&DatasetSpec {
+    let mut ds = generate(&DatasetSpec {
         name: "stat-collection".into(),
         dim,
         n: 3 * rows_per_segment + rows_per_segment / 2,
@@ -283,6 +289,9 @@ fn collection_errors(
         },
         seed: 0x57A7 + dim as u64 + seed,
     });
+    for v in ds.data.iter_mut().chain(ds.queries.iter_mut()) {
+        *v += shift;
+    }
     let mut config = CollectionConfig::new(dim);
     config.memtable_capacity = rows_per_segment;
     config.auto_compact = false;
@@ -301,11 +310,14 @@ fn collection_errors(
     assert_eq!(collection.config().rabitq.rotator, rotator);
 
     let manifest = Manifest::load(&dir.join(MANIFEST_FILE)).unwrap();
+    let centre = manifest.centre.clone().expect("the first seal records μ");
     let segments: Vec<Segment> = manifest
         .segments
         .iter()
         .map(|meta| {
-            let segment = Segment::load(&dir.join(&meta.file)).unwrap();
+            let bytes = std::fs::read(dir.join(&meta.file)).unwrap();
+            let segment =
+                Segment::read(&mut bytes.as_slice(), meta.file.clone(), Some(&centre)).unwrap();
             for &id in &deleted {
                 segment.delete(id);
             }
@@ -313,13 +325,20 @@ fn collection_errors(
         })
         .collect();
     let epsilon0 = manifest.rabitq.epsilon0 as f64;
-    // Rotate once per centroid and per (query, segment), as the engine does.
-    let rotated_centroids: Vec<Vec<Vec<f32>>> = segments
+    // One rotation per segment centroid of c − μ, and one offset per code.
+    let offsets: Vec<Vec<Vec<f32>>> = segments
         .iter()
         .map(|segment| {
             let index = segment.index();
             (0..index.n_buckets())
-                .map(|c| index.quantizer().rotate(index.bucket(c).0))
+                .map(|c| {
+                    let (centroid, _, codes, _) = index.bucket(c);
+                    let mut from_centre = vec![0.0f32; dim];
+                    vecs::sub(centroid, &centre, &mut from_centre);
+                    let mut g = Vec::new();
+                    codes.centre_offsets(&index.quantizer().rotate(&from_centre), &mut g);
+                    g
+                })
                 .collect()
         })
         .collect();
@@ -327,28 +346,30 @@ fn collection_errors(
     let mut rng = StdRng::seed_from_u64(0xC011);
     let (mut sum, mut scanned) = (0.0f64, 0usize);
     let mut reranked = Vec::new();
+    let mut plan = QueryScratch::new();
+    let mut centred = vec![0.0f32; dim];
     for qi in 0..ds.n_queries() {
         let query = ds.query(qi);
         let answer = collection.reader().search(query, K, usize::MAX, &mut rng);
         assert_eq!(answer.neighbors.len(), K);
         assert!(answer.neighbors.iter().all(|(id, _)| !deleted.contains(id)));
         let kth = answer.neighbors[K - 1].1;
-        for (segment, rotated_centroids) in segments.iter().zip(&rotated_centroids) {
+        // One plan for every segment: they share the manifest's rotation.
+        let planner = segments[0].index().quantizer();
+        vecs::sub(query, &centre, &mut centred);
+        planner.prepare_centred_into(&planner.rotate(&centred), &mut plan, &mut rng);
+        for (segment, offsets) in segments.iter().zip(&offsets) {
             let index = segment.index();
             let quantizer = index.quantizer();
-            let rotated_query = quantizer.rotate(query);
-            for (c, rotated_centroid) in rotated_centroids.iter().enumerate() {
-                let (_, ids, codes) = index.bucket(c);
-                if ids.is_empty() {
-                    continue;
-                }
-                let prepared =
-                    quantizer.prepare_query_prerotated(&rotated_query, rotated_centroid, &mut rng);
+            for (c, g) in offsets.iter().enumerate() {
+                let (centroid, ids, codes, _) = index.bucket(c);
+                let centroid_dist_sq = vecs::l2_sq(centroid, query);
                 for (i, &id) in ids.iter().enumerate() {
                     if index.is_deleted(id) {
                         continue;
                     }
-                    let est = quantizer.estimate(&prepared, codes, i);
+                    let est =
+                        quantizer.estimate_centred(plan.query(), centroid_dist_sq, codes, g, i);
                     let halfwidth = (est.upper_bound - est.dist_sq) as f64 / epsilon0;
                     if halfwidth <= 0.0 {
                         continue; // the row is its centroid: the estimate is exact
@@ -399,17 +420,30 @@ fn collection_level_estimates_are_unbiased_and_bounded_for_both_rotators() {
     // checks one-sided at the quantizer level.
     const GAUSSIAN_TAIL: f64 = 0.0574;
 
+    // The offset case: D=128 shifted by 100 per coordinate, so the data's
+    // mean lies ~1 100 from the origin and only centring on μ keeps the
+    // one quantised query as tight as a per-bucket residual.
+    const OFFSET: f32 = 100.0;
+
     let mut means: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    for (dim, rows_per_segment) in [(64usize, 400usize), (128, 400), (960, 120)] {
+    for (dim, rows_per_segment, shift) in [
+        (64usize, 400usize, 0.0f32),
+        (128, 400, 0.0),
+        (960, 120, 0.0),
+        (128, 400, OFFSET),
+    ] {
         let mut reranked: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
         for (kind, &rotator) in KINDS.iter().enumerate() {
             let from = means[kind].len();
             for seed in 0..6 {
-                let e = collection_errors(rotator, dim, rows_per_segment, seed);
+                let e = collection_errors(rotator, dim, rows_per_segment, seed, shift);
                 means[kind].push(e.mean);
                 reranked[kind].extend(e.reranked);
             }
-            assert_unbiased(&format!("{rotator:?} D={dim}"), &means[kind][from..]);
+            assert_unbiased(
+                &format!("{rotator:?} D={dim} shift {shift}"),
+                &means[kind][from..],
+            );
 
             // The model: errors are ≈ N(0, 1) in half-width units, so the
             // failure rate at ε₀ = 1.9 is near the Gaussian tail, halving
@@ -418,14 +452,17 @@ fn collection_level_estimates_are_unbiased_and_bounded_for_both_rotators() {
             let (half, default, wide) = (outside(r, 0.95), outside(r, 1.9), outside(r, 4.0));
             assert!(
                 (GAUSSIAN_TAIL / 2.0..GAUSSIAN_TAIL * 2.0).contains(&default),
-                "{rotator:?} D={dim}: {default:.4} of {} re-ranked candidates outside ε₀ = 1.9",
+                "{rotator:?} D={dim} shift {shift}: {default:.4} of {} re-ranked candidates outside ε₀ = 1.9",
                 r.len()
             );
             assert!(
                 half > 2.0 * default,
-                "{rotator:?} D={dim}: {half:.4} vs {default:.4}"
+                "{rotator:?} D={dim} shift {shift}: {half:.4} vs {default:.4}"
             );
-            assert!(wide < 1e-3, "{rotator:?} D={dim}: {wide:.5} outside ε₀ = 4");
+            assert!(
+                wide < 1e-3,
+                "{rotator:?} D={dim} shift {shift}: {wide:.5} outside ε₀ = 4"
+            );
         }
         // The two kinds fail the bound equally often, to sampling error.
         let [dense, hadamard] = &reranked;
@@ -435,7 +472,7 @@ fn collection_level_estimates_are_unbiased_and_bounded_for_both_rotators() {
         let se = (pooled * (1.0 - pooled) * (1.0 / n_d + 1.0 / n_h)).sqrt();
         assert!(
             (p_d - p_h).abs() <= 4.0 * se,
-            "D={dim}: dense {p_d:.4} (n={n_d}) vs Hadamard {p_h:.4} (n={n_h}), SE {se:.4}"
+            "D={dim} shift {shift}: dense {p_d:.4} (n={n_d}) vs Hadamard {p_h:.4} (n={n_h}), SE {se:.4}"
         );
     }
     for (rotator, means) in KINDS.iter().zip(&means) {
