@@ -2,7 +2,7 @@
 //!
 //! A query's cost decomposes into the stages the RaBitQ paper itself
 //! evaluates separately: rotating/preparing the query, building the
-//! per-bucket LUT, fast-scanning the packed codes, confidence-bound
+//! query's LUT, fast-scanning the packed codes, confidence-bound
 //! re-ranking, and the final top-k merge. [`StageNanos`] is the plain
 //! per-query accumulator threaded through the search scratch (a fixed
 //! `[u64; N]` — no allocation, no atomics, safe for the hot path), and
@@ -25,7 +25,7 @@ use crate::latency::LatencyHistogram;
 pub enum Stage {
     /// Query rotation + coarse-quantizer probe selection.
     Rotate,
-    /// Per-bucket quantized-query + LUT preparation.
+    /// The query plan's one quantized query + LUT preparation.
     LutBuild,
     /// Packed-code fast scan producing distance estimates.
     Scan,
