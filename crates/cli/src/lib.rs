@@ -27,14 +27,16 @@
 //! rabitq collection-search  --dir ./coll --queries q.fvecs --k 100 \
 //!                           --nprobe 64 --gt gt.ivecs --out results.ivecs
 //! rabitq serve              --dir ./coll --addr 127.0.0.1:7878 \
-//!                           --workers 8 --max-batch 64 --linger-us 100 \
-//!                           --slow-query-ms 50 --events-capacity 256
+//!                           --workers 8 --slow-query-ms 50 \
+//!                           --events-capacity 256
 //! rabitq events             --dir ./coll
 //! ```
 //!
 //! `serve` runs the `rabitq-serve` HTTP front end over a collection
-//! until interrupted (or for `--duration-ms` if given): searches are
-//! coalesced through the batching queue, mutations go through the WAL.
+//! until interrupted (or for `--duration-ms` if given): each search runs
+//! on the connection worker that read it, mutations go through the WAL.
+//! `--workers` bounds the requests in flight; a connection that finds
+//! 128 others already waiting for a worker is answered `503`.
 //! `--slow-query-ms N` journals every search slower than `N` ms with
 //! its stage breakdown (default 0 = disabled); `--events-capacity`
 //! bounds each collection's event journal (default 256 events).
@@ -140,7 +142,8 @@ pub fn usage() -> String {
          \x20 collection-search  query a collection (memtable + segments);\n\
          \x20                    --threads N for parallel (batch) reads\n\
          \x20 serve              HTTP front end over a collection (JSON API,\n\
-         \x20                    batched searches, admission control);\n\
+         \x20                    one search per connection worker, 503 when\n\
+         \x20                    the connection backlog is full);\n\
          \x20                    --slow-query-ms N journals searches >= N ms\n\
          \x20                    (default 0 = off), --events-capacity bounds\n\
          \x20                    the event journal (default 256),\n\
@@ -744,9 +747,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         max_nprobe: flags.usize_or("max-nprobe", 65536)?,
         ..rabitq_serve::ServeConfig::default()
     };
-    config.batch.max_batch = flags.usize_or("max-batch", 64)?;
-    config.batch.linger = std::time::Duration::from_micros(flags.u64_or("linger-us", 100)?);
-    config.batch.queue_depth = flags.usize_or("queue-depth", 256)?;
     config.slow_query_ms = flags.u64_or("slow-query-ms", config.slow_query_ms)?;
     config.events_capacity = flags.usize_or("events-capacity", config.events_capacity)?;
     config.default_timeout_ms = flags.u64_or("timeout-ms", config.default_timeout_ms)?;

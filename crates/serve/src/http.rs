@@ -8,6 +8,7 @@
 //! `411` (length required).
 
 use std::io::{self, Read, Write};
+use std::time::Instant;
 
 /// Cap on request head (request line + headers) bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -31,6 +32,10 @@ pub struct Request {
     pub body: Vec<u8>,
     /// Whether the connection should stay open after the response.
     pub keep_alive: bool,
+    /// When the request head was first found complete in the read
+    /// buffer. The one clock of a request: its deadline, its latency and
+    /// its slow-query entry all measure from here.
+    pub received: Instant,
 }
 
 impl Request {
@@ -146,6 +151,9 @@ impl Response {
 pub struct HttpConn<S> {
     stream: S,
     buf: Vec<u8>,
+    /// When the head of the request being read was found; kept across
+    /// read timeouts while its body is still arriving.
+    head_at: Option<Instant>,
 }
 
 impl<S: Read + Write> HttpConn<S> {
@@ -154,6 +162,7 @@ impl<S: Read + Write> HttpConn<S> {
         Self {
             stream,
             buf: Vec::new(),
+            head_at: None,
         }
     }
 
@@ -166,7 +175,8 @@ impl<S: Read + Write> HttpConn<S> {
                 if head_end + 4 > MAX_HEAD_BYTES {
                     return ReadOutcome::Error(HttpError::new(431, "request head too large"));
                 }
-                return self.parse_and_complete(head_end, max_body);
+                let received = *self.head_at.get_or_insert_with(Instant::now);
+                return self.parse_and_complete(head_end, max_body, received);
             }
             if self.buf.len() > MAX_HEAD_BYTES {
                 return ReadOutcome::Error(HttpError::new(431, "request head too large"));
@@ -225,7 +235,12 @@ impl<S: Read + Write> HttpConn<S> {
     }
 
     /// Parses the head at `..head_end`, then reads the body to completion.
-    fn parse_and_complete(&mut self, head_end: usize, max_body: usize) -> ReadOutcome {
+    fn parse_and_complete(
+        &mut self,
+        head_end: usize,
+        max_body: usize,
+        received: Instant,
+    ) -> ReadOutcome {
         let parsed = match parse_head(&self.buf[..head_end]) {
             Ok(p) => p,
             Err(e) => return ReadOutcome::Error(e),
@@ -254,6 +269,7 @@ impl<S: Read + Write> HttpConn<S> {
         }
         let body = self.buf[head_end + 4..total].to_vec();
         self.buf.drain(..total);
+        self.head_at = None;
         let ParsedHead {
             method,
             path,
@@ -269,6 +285,7 @@ impl<S: Read + Write> HttpConn<S> {
             headers,
             body,
             keep_alive,
+            received,
         })
     }
 }
@@ -475,6 +492,30 @@ mod tests {
             panic!("expected request, got {out:?}");
         };
         assert_eq!(req.body, b"abcdef");
+    }
+
+    #[test]
+    fn received_is_stamped_at_the_head_and_survives_a_body_timeout() {
+        let mut stream = FakeStream::new(&[b"POST /x HTTP/1.1\r\ncontent-length: 2\r\n\r\n"]);
+        stream.timeout_once = true;
+        let mut conn = HttpConn::new(stream);
+        let before = Instant::now();
+        assert!(matches!(
+            conn.read_request(64),
+            ReadOutcome::Timeout { partial: true }
+        ));
+        let stamped = conn.head_at.expect("head seen, body pending");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        conn.stream.input.push_back(b"ab".to_vec());
+        let ReadOutcome::Request(req) = conn.read_request(64) else {
+            panic!("expected the completed request");
+        };
+        assert_eq!(req.received, stamped, "the body's arrival does not restamp");
+        assert!(req.received >= before);
+        assert!(
+            conn.head_at.is_none(),
+            "the next request gets its own stamp"
+        );
     }
 
     #[test]

@@ -6,21 +6,20 @@
 //! not the protocol plumbing but the *execution model* between socket
 //! and engine:
 //!
-//! - **Request batching** ([`batcher`]): concurrent searches are
-//!   coalesced — bounded batch size plus a microsecond-scale linger —
-//!   into single [`Snapshot::search_many`] calls, which amortize
-//!   snapshot loads and reuse per-thread scratch across the whole batch.
-//! - **Admission control**: the batch queue is bounded. When it is full
-//!   the server sheds with `429` instead of queueing into unbounded
-//!   latency; during shutdown it sheds with `503`. Every request that is
-//!   *admitted* is always answered — shedding happens strictly at the
-//!   admission edge.
-//! - **Graceful shutdown** ([`server`]): connection workers finish their
-//!   in-flight request, then the batchers drain everything already
-//!   admitted, then threads join. No accepted request is silently
-//!   dropped mid-flight.
+//! - **One search path**: each search runs on the connection worker that
+//!   parsed it, as one [`Snapshot::search_many_cancellable`] call with a
+//!   single query and a single cancellation token. The paper's search
+//!   answers one query at a time, and a CPU batch shares no work between
+//!   its queries, so there is no queue between socket and engine.
+//! - **Admission control** at the connection edge: at most `workers`
+//!   requests are in flight, and accepted connections beyond
+//!   `conn_backlog` are answered `503` at once instead of queueing into
+//!   unbounded latency.
+//! - **Graceful shutdown** ([`server`]): connection workers finish and
+//!   answer their in-flight request, connections still waiting for a
+//!   worker are answered `503`, then threads join.
 //!
-//! [`Snapshot::search_many`]: rabitq_store::Snapshot::search_many
+//! [`Snapshot::search_many_cancellable`]: rabitq_store::Snapshot::search_many_cancellable
 //!
 //! ## Quick start
 //!
@@ -42,21 +41,19 @@
 //! | Route | Method | Purpose |
 //! |---|---|---|
 //! | `/healthz` | GET | liveness probe (uptime, version, SIMD kernel) |
-//! | `/stats` | GET | counters, latency quantiles, batch histogram, store metrics + event journal |
+//! | `/stats` | GET | counters, latency quantiles, store metrics + event journal |
 //! | `/metrics` | GET | Prometheus text exposition of the whole surface |
-//! | `/collections/:name/search` | POST | k-NN search (batched or direct); `?debug=timings` adds a stage breakdown |
+//! | `/collections/:name/search` | POST | k-NN search; `?debug=timings` adds a stage breakdown |
 //! | `/collections/:name/insert` | POST | insert one vector or many |
 //! | `/collections/:name/delete` | POST | tombstone ids |
 //! | `/search` `/insert` `/delete` | POST | same, against the default collection |
 
-pub mod batcher;
 pub mod http;
 pub mod json;
 pub mod metrics;
 mod router;
 pub mod server;
 
-pub use batcher::{BatchConfig, Batcher, SubmitError};
 pub use json::{Json, JsonError};
 pub use metrics::ServerMetrics;
 pub use server::{ServeConfig, Server};

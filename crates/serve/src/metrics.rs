@@ -1,17 +1,13 @@
-//! Server-side counters and latency/batch histograms, all lock-free.
+//! Server-side counters and latency histograms, all lock-free.
 //!
-//! One [`ServerMetrics`] is shared by every connection worker and batch
-//! worker; `/stats` renders it as JSON. Latency uses the log-bucketed
-//! [`LatencyHistogram`] from `rabitq-metrics`; batch sizes use a small
-//! exact array (sizes are bounded by the configured `max_batch`).
+//! One [`ServerMetrics`] is shared by every connection worker; `/stats`
+//! renders it as JSON. Latency uses the log-bucketed [`LatencyHistogram`]
+//! from `rabitq-metrics`.
 
 use crate::json::Json;
 use crate::json_obj;
 use rabitq_metrics::{LatencyHistogram, Stage, StageTimers};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Largest batch size tracked exactly by the batch-size histogram.
-pub const MAX_TRACKED_BATCH: usize = 256;
 
 /// Shared serving metrics.
 #[derive(Debug)]
@@ -24,18 +20,20 @@ pub struct ServerMetrics {
     pub client_errors: AtomicU64,
     /// Responses with 5xx status (including sheds).
     pub server_errors: AtomicU64,
-    /// Searches shed with `429` (admission queue full).
+    /// Connections answered `503` because the connection backlog was
+    /// full.
     pub shed_overload: AtomicU64,
-    /// Requests answered `503` (shutting down / connection backlog full).
+    /// Connections answered `503` because the server was shutting down
+    /// before a worker read them.
     pub shed_unavailable: AtomicU64,
     /// Mutations answered `503` because the collection is read-only
     /// (frozen after a write-path storage fault or by an operator).
     pub rejected_read_only: AtomicU64,
-    /// Searches answered `504` because their deadline passed (at any
-    /// stage: admission, queued, or mid-scan).
+    /// Searches answered `504` because their deadline passed (before the
+    /// scan began, or mid-scan).
     pub deadline_exceeded: AtomicU64,
-    /// Deadline-expired searches dropped before their batch dispatched
-    /// (at admission or while queued) — no search work was wasted.
+    /// Deadline-expired searches that expired before the scan began — no
+    /// search work was wasted.
     pub expired_in_queue: AtomicU64,
     /// Searches cooperatively cancelled mid-scan by their deadline: the
     /// scan bailed at a checkpoint instead of running to completion.
@@ -49,17 +47,13 @@ pub struct ServerMetrics {
     pub inserts: AtomicU64,
     /// Tombstones applied.
     pub deletes: AtomicU64,
-    /// End-to-end search latency (admission to response ready), µs.
+    /// End-to-end search latency (request head parsed to response
+    /// ready), µs.
     pub search_latency: LatencyHistogram,
     /// Per-pipeline-stage time across every answered search (rotate, LUT
     /// build, scan, re-rank, merge) — the global aggregate of the
     /// per-query [`rabitq_metrics::StageNanos`] breakdowns.
     pub stages: StageTimers,
-    /// Executed search batches.
-    pub batches: AtomicU64,
-    /// `batch_sizes[s-1]` counts batches of size `s` (capped at
-    /// [`MAX_TRACKED_BATCH`]).
-    pub batch_sizes: Vec<AtomicU64>,
 }
 
 impl Default for ServerMetrics {
@@ -87,8 +81,6 @@ impl ServerMetrics {
             deletes: AtomicU64::new(0),
             search_latency: LatencyHistogram::new(),
             stages: StageTimers::new(),
-            batches: AtomicU64::new(0),
-            batch_sizes: (0..MAX_TRACKED_BATCH).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -102,49 +94,20 @@ impl ServerMetrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one executed batch of `size` coalesced searches.
-    pub fn record_batch(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        let idx = size.clamp(1, MAX_TRACKED_BATCH) - 1;
-        self.batch_sizes[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Mean executed batch size (0 when no batches ran).
-    pub fn mean_batch_size(&self) -> f64 {
-        let mut total = 0u64;
-        let mut weighted = 0u64;
-        for (i, c) in self.batch_sizes.iter().enumerate() {
-            let n = c.load(Ordering::Relaxed);
-            total += n;
-            weighted += n * (i as u64 + 1);
-        }
-        if total == 0 {
-            0.0
+    /// Searches per engine call: `1.0` once a search has been answered,
+    /// `0.0` before, because every search is one engine call. It stays
+    /// only because the frozen perf ledger reads
+    /// `/stats` `metrics.mean_batch_size`; ROADMAP item 2 removes it.
+    fn mean_batch_size(&self) -> f64 {
+        if self.search_latency.count() > 0 {
+            1.0
         } else {
-            weighted as f64 / total as f64
+            0.0
         }
-    }
-
-    /// The non-empty `[size, count]` pairs of the batch-size histogram.
-    fn batch_histogram(&self) -> Vec<(usize, u64)> {
-        self.batch_sizes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let n = c.load(Ordering::Relaxed);
-                (n > 0).then_some((i + 1, n))
-            })
-            .collect()
     }
 
     /// Renders everything as the `/stats` JSON fragment.
     pub fn to_json(&self) -> Json {
-        let batch_hist = Json::Arr(
-            self.batch_histogram()
-                .into_iter()
-                .map(|(size, count)| Json::Arr(vec![Json::from(size), Json::from(count)]))
-                .collect(),
-        );
         json_obj! {
             "requests" => self.requests.load(Ordering::Relaxed),
             "responses_2xx" => self.ok_responses.load(Ordering::Relaxed),
@@ -187,9 +150,7 @@ impl ServerMetrics {
                     })
                     .collect(),
             ),
-            "batches" => self.batches.load(Ordering::Relaxed),
-            "mean_batch_size" => self.mean_batch_size(),
-            "batch_size_histogram" => batch_hist
+            "mean_batch_size" => self.mean_batch_size()
         }
     }
 }
@@ -199,19 +160,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn batch_histogram_tracks_sizes() {
+    fn mean_batch_size_is_one_once_a_search_was_answered() {
         let m = ServerMetrics::new();
-        m.record_batch(1);
-        m.record_batch(4);
-        m.record_batch(4);
-        m.record_batch(10_000); // clamps into the last bucket
-        assert_eq!(
-            m.batch_histogram(),
-            vec![(1, 1), (4, 2), (MAX_TRACKED_BATCH, 1)]
-        );
-        assert_eq!(m.batches.load(Ordering::Relaxed), 4);
-        let mean = m.mean_batch_size();
-        assert!(mean > 1.0, "mean = {mean}");
+        assert_eq!(m.mean_batch_size(), 0.0);
+        m.search_latency.record_us(150);
+        assert_eq!(m.mean_batch_size(), 1.0);
     }
 
     #[test]
@@ -229,10 +182,9 @@ mod tests {
     #[test]
     fn stats_json_is_well_formed() {
         let m = ServerMetrics::new();
-        m.record_batch(2);
         m.search_latency.record_us(150);
         let j = m.to_json();
-        assert_eq!(j.get("batches").and_then(Json::as_u64), Some(1));
+        assert_eq!(j.get("mean_batch_size").and_then(Json::as_f64), Some(1.0));
         let lat = j.get("search_latency_us").unwrap();
         assert_eq!(lat.get("count").and_then(Json::as_u64), Some(1));
         // And it encodes + reparses.

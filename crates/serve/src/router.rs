@@ -5,22 +5,22 @@
 //! | `/healthz` | GET | — | `{"status":"ok"|"degraded"|"draining","read_only":…,"degraded":…,"draining":…,"uptime_ms":…,"version":…,"kernel":…,"distance_kernel":…}` |
 //! | `/stats` | GET | — | metrics + per-collection sizes, health, store counters, event journal |
 //! | `/metrics` | GET | — | Prometheus text exposition (`text/plain; version=0.0.4`) |
-//! | `/collections/:name/search` | POST | `{"vector":[…], "k"?, "nprobe"?, "mode"?, "timeout_ms"?}` | `{"neighbors":[{"id","distance"}…],…}`; `?debug=timings` adds `timings_us` |
+//! | `/collections/:name/search` | POST | `{"vector":[…], "k"?, "nprobe"?, "timeout_ms"?}` | `{"neighbors":[{"id","distance"}…],…}`; `?debug=timings` adds `timings_us` |
 //! | `/collections/:name/insert` | POST | `{"vector":[…]}` or `{"vectors":[[…]…]}` | `{"ids":[…]}` |
 //! | `/collections/:name/delete` | POST | `{"id":n}` or `{"ids":[…]}` | `{"deleted":n}` |
 //! | `/search`, `/insert`, `/delete` | POST | as above | against the default collection |
 //!
-//! `"mode"` on a search selects `"batched"` (through the admission queue
-//! and the coalescing batcher) or `"direct"` (execute on the caller's
-//! thread) — defaulting to the server's `batching` config. Direct mode is
-//! the per-request baseline the load harness compares batching against.
+//! A search runs on the connection worker that parsed it, as one
+//! `search_many_cancellable` call with one query and one token, always
+//! with the same seed: the same request gets the same answer, bit for
+//! bit.
 //!
-//! `"timeout_ms"` sets the search's end-to-end deadline, stamped at
-//! admission (default `ServeConfig::default_timeout_ms`, clamped to
-//! `max_timeout_ms`; `0` disables). An expired search is answered `504`:
-//! dropped from the queue before dispatch when possible, otherwise
-//! cooperatively cancelled mid-scan at the next checkpoint — without
-//! perturbing the batchmates it was coalesced with.
+//! `"timeout_ms"` sets the search's end-to-end deadline, measured from
+//! [`Request::received`] (default `ServeConfig::default_timeout_ms`,
+//! clamped to `max_timeout_ms`; `0` disables). An expired search is
+//! answered `504`: refused before the scan began when its deadline has
+//! already passed, otherwise cooperatively cancelled mid-scan at the next
+//! checkpoint.
 //!
 //! A collection that opened **degraded** (quarantined segments) or froze
 //! **read-only** (write-path storage fault) keeps serving searches;
@@ -29,20 +29,16 @@
 //! read-only collection are answered `503` (retryable elsewhere) rather
 //! than `500`.
 
-use crate::batcher::SubmitError;
 use crate::http::{Request, Response};
 use crate::json::Json;
 use crate::json_obj;
 use crate::server::{ServedCollection, ServerState};
 use rabitq_core::hw;
 use rabitq_ivf::SearchResult;
-use rabitq_metrics::timer::time_once;
 use rabitq_metrics::{EventJournal, PromEncoder, Stage, StageNanos};
 use rabitq_store::{CancelToken, ParallelOptions, SearchOutcome, StoreMetrics};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Dispatches one request.
 pub(crate) fn handle(state: &ServerState, req: &Request) -> Response {
@@ -134,7 +130,6 @@ fn stats(state: &ServerState) -> Response {
                         "live_vectors" => snapshot.len(),
                         "segments" => snapshot.n_segments(),
                         "memtable_rows" => snapshot.memtable_len(),
-                        "queued_searches" => served.batcher.queue_len(),
                         "degraded" => health.degraded,
                         "read_only" => health.read_only,
                         "quarantined_segments" => health.quarantined_segments,
@@ -147,16 +142,13 @@ fn stats(state: &ServerState) -> Response {
     );
     let body = json_obj! {
         "uptime_ms" => state.started.elapsed().as_millis() as u64,
-        "batching_default" => state.config.batching,
-        "max_batch" => state.config.batch.max_batch,
-        "queue_depth" => state.config.batch.queue_depth,
         "metrics" => state.metrics.to_json(),
         "collections" => collections
     };
     Response::json(200, body.encode())
 }
 
-/// `/metrics`: the whole observability surface — server, batcher,
+/// `/metrics`: the whole observability surface — server edge,
 /// per-collection store, and search-stage metrics — in Prometheus text
 /// exposition format (hand-rolled encoder, no dependency).
 fn metrics_text(state: &ServerState) -> Response {
@@ -192,7 +184,8 @@ fn metrics_text(state: &ServerState) -> Response {
     ] {
         enc.counter(
             "rabitq_shed_total",
-            "Requests shed at the admission edge.",
+            "Connections answered 503 without being read: backlog full \
+             (overload) or shutting down (unavailable).",
             &[("reason", reason)],
             counter.load(Ordering::Relaxed),
         );
@@ -215,8 +208,8 @@ fn metrics_text(state: &ServerState) -> Response {
     ] {
         enc.counter(
             "rabitq_deadline_stage_total",
-            "Where deadline-expired searches were cancelled: dropped from \
-             the queue before dispatch, or cooperatively mid-scan.",
+            "Where deadline-expired searches were cancelled: expired \
+             before the scan began (queue), or cooperatively mid-scan.",
             &[("stage", stage)],
             counter.load(Ordering::Relaxed),
         );
@@ -239,21 +232,9 @@ fn metrics_text(state: &ServerState) -> Response {
         &[],
         m.deletes.load(Ordering::Relaxed),
     );
-    enc.counter(
-        "rabitq_batches_total",
-        "Executed search batches.",
-        &[],
-        m.batches.load(Ordering::Relaxed),
-    );
-    enc.gauge(
-        "rabitq_batch_size_mean",
-        "Mean executed batch size.",
-        &[],
-        m.mean_batch_size(),
-    );
     enc.histogram_us(
         "rabitq_search_latency_seconds",
-        "End-to-end search latency (admission to response ready).",
+        "End-to-end search latency (request head parsed to response ready).",
         &[],
         &m.search_latency,
     );
@@ -288,12 +269,6 @@ fn metrics_text(state: &ServerState) -> Response {
             "Rows in the latest snapshot's memtable view.",
             labels,
             snapshot.memtable_len() as f64,
-        );
-        enc.gauge(
-            "rabitq_collection_queued_searches",
-            "Searches waiting in the admission queue.",
-            labels,
-            served.batcher.queue_len() as f64,
         );
         enc.gauge(
             "rabitq_collection_degraded",
@@ -534,16 +509,6 @@ fn search(state: &ServerState, served: &ServedCollection, req: &Request) -> Resp
         Ok(v) => v,
         Err(resp) => return resp,
     };
-    let batched = match body.get("mode").and_then(Json::as_str) {
-        None => state.config.batching,
-        Some("batched") => true,
-        Some("direct") => false,
-        Some(other) => {
-            return Response::error(400, &format!("unknown mode {other:?}"));
-        }
-    };
-    // The deadline is stamped *here*, at admission: queueing, batching,
-    // and scan time all count against it.
     let timeout_ms = match body.get("timeout_ms") {
         None => state.config.default_timeout_ms,
         Some(v) => match v.as_u64() {
@@ -558,77 +523,41 @@ fn search(state: &ServerState, served: &ServedCollection, req: &Request) -> Resp
     } else {
         timeout_ms
     };
-    let deadline = (timeout_ms > 0).then(|| Instant::now() + Duration::from_millis(timeout_ms));
+    let token = if timeout_ms > 0 {
+        CancelToken::with_deadline(req.received + Duration::from_millis(timeout_ms))
+    } else {
+        CancelToken::none()
+    };
 
-    let (outcome, elapsed) = time_once(|| {
-        if batched {
-            match served.batcher.submit(query, k, nprobe, deadline) {
-                Ok(r) => Ok(r),
-                Err(SubmitError::Overloaded) => {
-                    state.metrics.shed_overload.fetch_add(1, Ordering::Relaxed);
-                    Err(Response::error(429, "admission queue full, retry later"))
-                }
-                Err(SubmitError::ShuttingDown) => {
-                    state
-                        .metrics
-                        .shed_unavailable
-                        .fetch_add(1, Ordering::Relaxed);
-                    Err(Response::error(503, "server is shutting down"))
-                }
-                Err(SubmitError::Failed) => Err(Response::error(500, "search execution failed")),
-                Err(SubmitError::Expired) => Err(Response::error(504, "deadline exceeded")),
-            }
-        } else {
-            // Direct per-request execution on this worker thread: the
-            // unbatched baseline. Snapshot load + serial search.
-            let seq = state.direct_seq.fetch_add(1, Ordering::Relaxed);
-            match deadline {
-                None => {
-                    let mut rng = StdRng::seed_from_u64(state.config.batch.seed ^ seq);
-                    Ok(served.reader.search(&query, k, nprobe, &mut rng))
-                }
-                Some(d) => {
-                    // With a deadline the direct path goes through the
-                    // cancellable batch search (a batch of one) so an
-                    // expired query bails at the next checkpoint instead
-                    // of running the scan to completion.
-                    let token = [CancelToken::with_deadline(d)];
-                    let opts = ParallelOptions {
-                        threads: 1,
-                        seed: state.config.batch.seed ^ seq,
-                    };
-                    let outcome = served
-                        .reader
-                        .snapshot()
-                        .search_many_cancellable(&query, k, nprobe, opts, &token)
-                        .pop()
-                        .expect("one query, one outcome");
-                    match outcome {
-                        SearchOutcome::Done(r) => Ok(r),
-                        SearchOutcome::Cancelled => {
-                            state
-                                .metrics
-                                .cancelled_mid_scan
-                                .fetch_add(1, Ordering::Relaxed);
-                            Err(Response::error(504, "deadline exceeded"))
-                        }
-                    }
-                }
-            }
+    let outcome = if token.is_cancelled() {
+        state
+            .metrics
+            .expired_in_queue
+            .fetch_add(1, Ordering::Relaxed);
+        SearchOutcome::Cancelled
+    } else {
+        let outcome = served
+            .reader
+            .snapshot()
+            .search_many_cancellable(&query, k, nprobe, ParallelOptions::serial(), &[token])
+            .pop()
+            .expect("one query, one outcome");
+        if outcome.is_cancelled() {
+            state
+                .metrics
+                .cancelled_mid_scan
+                .fetch_add(1, Ordering::Relaxed);
         }
-    });
-    let result = match outcome {
-        Ok(r) => r,
-        Err(resp) => {
-            if resp.status == 504 {
-                state
-                    .metrics
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                state.metrics.cancelled_after.record(elapsed);
-            }
-            return resp;
-        }
+        outcome
+    };
+    let elapsed = req.received.elapsed();
+    let SearchOutcome::Done(result) = outcome else {
+        state
+            .metrics
+            .deadline_exceeded
+            .fetch_add(1, Ordering::Relaxed);
+        state.metrics.cancelled_after.record(elapsed);
+        return Response::error(504, "deadline exceeded");
     };
     state.metrics.search_latency.record(elapsed);
     state.metrics.stages.record(&result.stages);
@@ -637,10 +566,9 @@ fn search(state: &ServerState, served: &ServedCollection, req: &Request) -> Resp
         served.reader.metrics().journal.push(
             "slow_query",
             format!(
-                "{}us k={k} nprobe={nprobe} mode={} stages_us rotate={} lut_build={} \
+                "{}us k={k} nprobe={nprobe} stages_us rotate={} lut_build={} \
                  scan={} rerank={} merge={}",
                 elapsed.as_micros(),
-                if batched { "batched" } else { "direct" },
                 s.get_ns(Stage::Rotate) / 1000,
                 s.get_ns(Stage::LutBuild) / 1000,
                 s.get_ns(Stage::Scan) / 1000,
@@ -832,37 +760,32 @@ fn delete(state: &ServerState, served: &ServedCollection, req: &Request) -> Resp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::{BatchConfig, Batcher};
     use crate::metrics::ServerMetrics;
     use crate::server::{ServeConfig, ServedCollection, ServerState};
     use rabitq_store::{Collection, CollectionConfig};
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::atomic::AtomicBool;
     use std::sync::{Arc, Mutex};
+    use std::time::Instant;
 
     fn test_state(dir: &std::path::Path) -> ServerState {
         std::fs::remove_dir_all(dir).ok();
         let collection = Collection::open(dir, CollectionConfig::new(4)).unwrap();
-        let metrics = Arc::new(ServerMetrics::new());
-        let reader = collection.reader();
-        let batcher = Batcher::start(reader.clone(), BatchConfig::default(), metrics.clone());
         let mut collections = HashMap::new();
         collections.insert(
             "test".to_string(),
             Arc::new(ServedCollection {
+                reader: collection.reader(),
                 writer: Mutex::new(collection),
-                reader,
-                batcher,
             }),
         );
         ServerState {
             config: ServeConfig::default(),
             collections,
             default_name: "test".into(),
-            metrics,
+            metrics: Arc::new(ServerMetrics::new()),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            direct_seq: AtomicU64::new(0),
         }
     }
 

@@ -10,28 +10,27 @@
 //!    worker 0    worker 1 …  worker W-1     (keep-alive request loops)
 //!        │ search     │ insert/delete
 //!        ▼            ▼
-//!    Batcher ──► Snapshot::search_many   Mutex<Collection> (writers only)
+//!  Snapshot::search_many_cancellable   Mutex<Collection> (writers only)
 //! ```
 //!
-//! Searches never touch the writer lock — they go through the collection's
-//! [`CollectionReader`] snapshot path, coalesced by the [`Batcher`].
-//! Mutations serialize on a per-collection `Mutex<Collection>`.
+//! A search runs on the worker that parsed it and never touches the
+//! writer lock: it goes through the collection's [`CollectionReader`]
+//! snapshot path. Mutations serialize on a per-collection
+//! `Mutex<Collection>`. A panic while handling a request is caught at
+//! the worker, answered `500` and counted in `server_errors`; the worker
+//! keeps serving.
 //!
 //! ## Shutdown ordering
 //!
 //! 1. the shutdown flag flips — the acceptor stops accepting, connection
 //!    workers finish (and answer) their current request, then close;
-//! 2. connections still queued for a worker are dropped unserved (they
-//!    were never read);
-//! 3. workers are joined **while the batchers still run**, so every
-//!    admitted search gets its response before its connection closes;
-//! 4. each batcher is then shut down, which by its own invariant drains
-//!    the admission queue first.
+//! 2. connections still queued for a worker were never read; each is
+//!    answered `503` and counted in `shed_unavailable`;
+//! 3. workers are joined.
 //!
-//! The result: every request that got an HTTP head written back is fully
-//! answered; nothing admitted to the batcher is ever dropped.
+//! The result: every request a worker read is fully answered, and every
+//! accepted connection gets a response or a clean close.
 
-use crate::batcher::{BatchConfig, Batcher};
 use crate::http::{HttpConn, ReadOutcome, Response};
 use crate::metrics::ServerMetrics;
 use crate::router;
@@ -39,6 +38,7 @@ use rabitq_store::{Collection, CollectionReader};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -51,15 +51,11 @@ pub struct ServeConfig {
     /// Connection worker threads.
     pub workers: usize,
     /// Accepted connections waiting for a worker beyond this are answered
-    /// `503` immediately.
+    /// `503` immediately and counted as overload sheds. With at most
+    /// `workers` requests in flight, this is the server's admission bound.
     pub conn_backlog: usize,
     /// Largest accepted request body, bytes (`413` beyond).
     pub max_body: usize,
-    /// Whether searches go through the batching queue by default (a
-    /// request can override with `"mode": "direct" | "batched"`).
-    pub batching: bool,
-    /// Batching/admission tuning (shared by every collection's batcher).
-    pub batch: BatchConfig,
     /// Default `k` when a search request omits it.
     pub default_k: usize,
     /// Default `nprobe` when a search request omits it.
@@ -87,9 +83,10 @@ pub struct ServeConfig {
     /// startup; open-time events are preserved).
     pub events_capacity: usize,
     /// Default search deadline, milliseconds, applied when a request
-    /// omits `timeout_ms`. `0` means no deadline. The deadline is stamped
-    /// at admission; an expired search is answered `504` — dropped from
-    /// the queue before dispatch, or cooperatively cancelled mid-scan.
+    /// omits `timeout_ms`. `0` means no deadline. The deadline runs from
+    /// the moment the request head was parsed; an expired search is
+    /// answered `504` — refused before the scan began, or cooperatively
+    /// cancelled mid-scan.
     pub default_timeout_ms: u64,
     /// Upper bound a request's `timeout_ms` is clamped to (`0` disables
     /// the cap). Keeps one client from opting out of deadline discipline.
@@ -103,8 +100,6 @@ impl Default for ServeConfig {
             workers: 8,
             conn_backlog: 128,
             max_body: 1 << 20, // 1 MiB
-            batching: true,
-            batch: BatchConfig::default(),
             default_k: 10,
             default_nprobe: 32,
             max_k: 4096,
@@ -121,12 +116,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// One collection as served: lock-free read handle + batcher for
-/// searches, mutex-serialized writer for mutations.
+/// One collection as served: lock-free read handle for searches,
+/// mutex-serialized writer for mutations.
 pub(crate) struct ServedCollection {
     pub(crate) writer: Mutex<Collection>,
     pub(crate) reader: CollectionReader,
-    pub(crate) batcher: Batcher,
 }
 
 /// Shared server state, one `Arc` per thread.
@@ -137,8 +131,6 @@ pub(crate) struct ServerState {
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) started: Instant,
-    /// Seed sequence for direct-mode (unbatched) searches.
-    pub(crate) direct_seq: AtomicU64,
 }
 
 struct ConnQueue {
@@ -178,14 +170,11 @@ impl Server {
                 .metrics()
                 .journal
                 .set_capacity(config.events_capacity);
-            let reader = collection.reader();
-            let batcher = Batcher::start(reader.clone(), config.batch.clone(), metrics.clone());
             map.insert(
                 name,
                 Arc::new(ServedCollection {
+                    reader: collection.reader(),
                     writer: Mutex::new(collection),
-                    reader,
-                    batcher,
                 }),
             );
         }
@@ -196,7 +185,6 @@ impl Server {
             metrics,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            direct_seq: AtomicU64::new(0),
         });
         let conns = Arc::new(ConnQueue {
             queue: Mutex::new((VecDeque::new(), false)),
@@ -263,18 +251,6 @@ impl Server {
         for w in self.workers.drain(..) {
             w.join().ok();
         }
-        // Workers are gone; no submitter remains. Drain each batcher.
-        for served in self.state.collections.values() {
-            served.batcher.initiate_shutdown();
-        }
-        // Batcher joins happen in their Drop impls when the state Arc
-        // unwinds; trigger the drain explicitly here so `shutdown`
-        // returning means "fully quiesced".
-        for served in self.state.collections.values() {
-            while served.batcher.queue_len() > 0 {
-                std::thread::yield_now();
-            }
-        }
     }
 }
 
@@ -306,14 +282,12 @@ fn accept_loop(listener: &TcpListener, state: &ServerState, conns: &ConnQueue) {
                     drop(q);
                     // Over backlog: fail fast so the client can back off,
                     // instead of queueing into unbounded latency.
-                    state
-                        .metrics
-                        .shed_unavailable
-                        .fetch_add(1, Ordering::Relaxed);
-                    state.metrics.count_response(503);
-                    let mut conn = HttpConn::new(stream);
-                    conn.write_response(&Response::error(503, "connection backlog full"), false)
-                        .ok();
+                    shed(
+                        state,
+                        stream,
+                        &state.metrics.shed_overload,
+                        "connection backlog full",
+                    );
                     continue;
                 }
                 q.0.push_back(stream);
@@ -342,12 +316,37 @@ fn worker_loop(state: &ServerState, conns: &ConnQueue) {
                 q = conns.ready.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        // During shutdown, drop still-queued (never-read) connections.
+        // During shutdown, still-queued connections were never read.
         if state.shutdown.load(Ordering::Relaxed) {
+            shed(
+                state,
+                stream,
+                &state.metrics.shed_unavailable,
+                "server is shutting down",
+            );
             continue;
         }
         handle_connection(state, stream);
     }
+}
+
+/// Answers a connection no worker will read with `503`, counting it in
+/// `counter`.
+fn shed(state: &ServerState, stream: TcpStream, counter: &AtomicU64, reason: &str) {
+    counter.fetch_add(1, Ordering::Relaxed);
+    state.metrics.count_response(503);
+    HttpConn::new(stream)
+        .write_response(&Response::error(503, reason), false)
+        .ok();
+}
+
+/// Runs `handler` and tallies its status. A panic is caught here and
+/// answered `500`, so it costs one request, never the worker.
+fn respond(metrics: &ServerMetrics, handler: impl FnOnce() -> Response) -> Response {
+    let resp = std::panic::catch_unwind(AssertUnwindSafe(handler))
+        .unwrap_or_else(|_| Response::error(500, "internal error while handling the request"));
+    metrics.count_response(resp.status);
+    resp
 }
 
 /// Serves one connection's keep-alive loop until close, error, idle
@@ -360,8 +359,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
             ReadOutcome::Request(req) => {
                 timeout_ticks = 0;
                 state.metrics.requests.fetch_add(1, Ordering::Relaxed);
-                let resp = router::handle(state, &req);
-                state.metrics.count_response(resp.status);
+                let resp = respond(&state.metrics, || router::handle(state, &req));
                 let shutting_down = state.shutdown.load(Ordering::Relaxed);
                 let keep = req.keep_alive && !shutting_down;
                 if conn.write_response(&resp, keep).is_err() {
@@ -394,5 +392,23 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_the_worker_keeps_serving() {
+        let metrics = ServerMetrics::new();
+        let resp = respond(&metrics, || panic!("handler bug"));
+        assert_eq!(resp.status, 500);
+        assert_eq!(metrics.server_errors.load(Ordering::Relaxed), 1);
+        // The same thread answers the next request normally.
+        let resp = respond(&metrics, || Response::json(200, "{}".into()));
+        assert_eq!(resp.status, 200);
+        assert_eq!(metrics.ok_responses.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.server_errors.load(Ordering::Relaxed), 1);
     }
 }

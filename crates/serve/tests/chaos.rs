@@ -7,21 +7,14 @@
 
 mod common;
 
-use common::{request, row_vector, search_body, start_server, top_id, Client};
-use rabitq_serve::{BatchConfig, Json, ServeConfig, Server};
+use common::{request, row_vector, search_body, start_server, timed_search_body, top_id, Client};
+use rabitq_serve::{Json, ServeConfig, Server};
 use rabitq_store::{disk_io, Collection, CollectionConfig, FaultIo, FaultKind, FaultScript};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A search body with an explicit `timeout_ms`.
-fn timed_search_body(vector: &[f32], k: usize, mode: Option<&str>, timeout_ms: u64) -> String {
-    let mut body = search_body(vector, k, mode);
-    body.truncate(body.len() - 1);
-    format!("{body},\"timeout_ms\":{timeout_ms}}}")
-}
 
 /// Spins until `cond` holds or the bounded wall-clock budget runs out.
 fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
@@ -50,12 +43,7 @@ fn reset_mid_body_leaves_the_server_healthy() {
 
     // The torn requests were never parsed, so they were never admitted —
     // and the server still answers real traffic immediately.
-    let resp = request(
-        addr,
-        "POST",
-        "/search",
-        &search_body(&row_vector(2, 4), 3, None),
-    );
+    let resp = request(addr, "POST", "/search", &search_body(&row_vector(2, 4), 3));
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert_eq!(top_id(&resp), 2);
 
@@ -91,7 +79,7 @@ fn slow_loris_partial_head_is_answered_408() {
         server.addr(),
         "POST",
         "/search",
-        &search_body(&row_vector(1, 4), 2, None),
+        &search_body(&row_vector(1, 4), 2),
     );
     assert_eq!(resp.status, 200);
     server.shutdown();
@@ -101,15 +89,11 @@ fn slow_loris_partial_head_is_answered_408() {
 /// Impatient clients: fully-admitted searches whose clients hang up
 /// without reading. Every one of them is still executed (or expired) and
 /// *answered* — the response counters account for all of them, and the
-/// abandoned work never wedges the batcher or shutdown.
+/// abandoned work never wedges a worker or shutdown.
 #[test]
 fn abandoned_requests_are_all_answered_anyway() {
     let config = ServeConfig {
         workers: 8,
-        batch: BatchConfig {
-            linger: Duration::from_millis(30),
-            ..BatchConfig::default()
-        },
         ..ServeConfig::default()
     };
     let (server, dir) = start_server("chaos-abandon", config);
@@ -117,16 +101,18 @@ fn abandoned_requests_are_all_answered_anyway() {
     let m = server.metrics();
     let base_requests = m.requests.load(Ordering::Relaxed);
 
-    // 4 patient-deadline clients and 4 with deadlines shorter than the
-    // linger window; all 8 disconnect without reading their response.
+    // 4 patient-deadline clients and 4 with 5 ms deadlines whose body
+    // arrives 50 ms after the head; all 8 disconnect without reading
+    // their response.
     for t in 0..8 {
         let mut client = Client::connect(addr);
-        let body = if t % 2 == 0 {
-            timed_search_body(&row_vector(t, 4), 3, Some("batched"), 30_000)
+        if t % 2 == 0 {
+            let body = timed_search_body(&row_vector(t, 4), 3, 30_000);
+            client.send("POST", "/search", &body);
         } else {
-            timed_search_body(&row_vector(t, 4), 3, Some("batched"), 5)
-        };
-        client.send("POST", "/search", &body);
+            let body = timed_search_body(&row_vector(t, 4), 3, 5);
+            client.send_with_body_gap("POST", "/search", &body, Duration::from_millis(50));
+        }
         drop(client); // leave before the answer
     }
 
@@ -141,12 +127,7 @@ fn abandoned_requests_are_all_answered_anyway() {
     assert_eq!(m.expired_in_queue.load(Ordering::Relaxed), 4);
 
     // The server is unwedged: live traffic flows and shutdown drains.
-    let resp = request(
-        addr,
-        "POST",
-        "/search",
-        &search_body(&row_vector(7, 4), 3, None),
-    );
+    let resp = request(addr, "POST", "/search", &search_body(&row_vector(7, 4), 3));
     assert_eq!(resp.status, 200, "{}", resp.body);
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

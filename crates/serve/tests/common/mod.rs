@@ -86,6 +86,19 @@ impl Client {
         self.send_raw(req.as_bytes());
     }
 
+    /// Sends one request's head, waits `gap`, then sends its body. The
+    /// server's clock for a request starts at its head, so `gap` counts
+    /// against the request's deadline and latency.
+    pub fn send_with_body_gap(&mut self, method: &str, path: &str, body: &str, gap: Duration) {
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        );
+        self.send_raw(head.as_bytes());
+        std::thread::sleep(gap);
+        self.send_raw(body.as_bytes());
+    }
+
     /// Reads one full response off the connection.
     pub fn read_response(&mut self) -> HttpResponse {
         loop {
@@ -143,6 +156,14 @@ impl Client {
     }
 }
 
+/// One-shot request on a fresh connection whose body arrives `gap` after
+/// its head (see [`Client::send_with_body_gap`]).
+pub fn late_body_request(addr: SocketAddr, path: &str, body: &str, gap: Duration) -> HttpResponse {
+    let mut client = Client::connect(addr);
+    client.send_with_body_gap("POST", path, body, gap);
+    client.read_response()
+}
+
 /// One-shot request on a fresh connection.
 pub fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> HttpResponse {
     let mut client = Client::connect(addr);
@@ -151,15 +172,16 @@ pub fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> HttpRe
 }
 
 /// Serializes a query vector as the search request body.
-pub fn search_body(vector: &[f32], k: usize, mode: Option<&str>) -> String {
+pub fn search_body(vector: &[f32], k: usize) -> String {
     let vec_json: Vec<String> = vector.iter().map(|v| format!("{v}")).collect();
-    let mode_part = mode
-        .map(|m| format!(",\"mode\":\"{m}\""))
-        .unwrap_or_default();
-    format!(
-        "{{\"vector\":[{}],\"k\":{k}{mode_part}}}",
-        vec_json.join(",")
-    )
+    format!("{{\"vector\":[{}],\"k\":{k}}}", vec_json.join(","))
+}
+
+/// A search body with an explicit `timeout_ms`.
+pub fn timed_search_body(vector: &[f32], k: usize, timeout_ms: u64) -> String {
+    let mut body = search_body(vector, k);
+    body.truncate(body.len() - 1); // strip the closing brace
+    format!("{body},\"timeout_ms\":{timeout_ms}}}")
 }
 
 /// Top neighbour id of a search response.

@@ -1,43 +1,40 @@
-//! End-to-end request deadlines over real sockets: `timeout_ms` stamps a
-//! deadline at admission, an expired search is answered `504` without the
-//! scan running (asserted via the stage timers, which only completed
-//! searches feed), the cap clamps client-supplied timeouts, and the 504s
-//! are visible in `/metrics` and `/stats`.
+//! End-to-end request deadlines over real sockets: `timeout_ms` sets a
+//! deadline measured from the moment the request head was parsed, an
+//! expired search is answered `504` without the scan running (asserted
+//! via the stage timers, which only completed searches feed), the cap
+//! clamps client-supplied timeouts, and the 504s are visible in
+//! `/metrics` and `/stats`.
+//!
+//! To expire a request before its scan, a test sends the head, waits
+//! [`GAP`] — longer than the deadline — and only then sends the body.
 
 mod common;
 
-use common::{request, row_vector, search_body, start_server, top_id, Client};
-use rabitq_serve::{BatchConfig, Json, ServeConfig};
+use common::{
+    late_body_request, request, row_vector, search_body, start_server, timed_search_body, top_id,
+    Client,
+};
+use rabitq_serve::{Json, ServeConfig};
 use std::time::Duration;
 
-/// A search body with an explicit `timeout_ms`.
-fn timed_search_body(vector: &[f32], k: usize, mode: Option<&str>, timeout_ms: u64) -> String {
-    let mut body = search_body(vector, k, mode);
-    body.truncate(body.len() - 1); // strip the closing brace
-    format!("{body},\"timeout_ms\":{timeout_ms}}}")
-}
+/// The wait between a request's head and its body: ten times the 5 ms
+/// deadlines below.
+const GAP: Duration = Duration::from_millis(50);
 
-/// A deadline shorter than the batch linger expires while queued: the
-/// entry is answered `504` and dropped before dispatch, so the scan never
-/// ran — which the stage timers prove, since only completed searches
-/// record stage samples.
+/// A deadline that passes while the body is still arriving expires
+/// before the scan began: the request is answered `504` and the scan
+/// never ran — which the stage timers prove, since only completed
+/// searches record stage samples.
 #[test]
 fn queued_expiry_returns_504_without_running_the_scan() {
-    let config = ServeConfig {
-        batch: BatchConfig {
-            linger: Duration::from_millis(80),
-            ..BatchConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    let (server, dir) = start_server("deadline-queue", config);
+    let (server, dir) = start_server("deadline-queue", ServeConfig::default());
     let addr = server.addr();
 
-    let resp = request(
+    let resp = late_body_request(
         addr,
-        "POST",
         "/search",
-        &timed_search_body(&row_vector(3, 4), 3, Some("batched"), 5),
+        &timed_search_body(&row_vector(3, 4), 3, 5),
+        GAP,
     );
     assert_eq!(resp.status, 504, "{}", resp.body);
     assert!(resp.body.contains("deadline exceeded"), "{}", resp.body);
@@ -64,7 +61,7 @@ fn queued_expiry_returns_504_without_running_the_scan() {
         addr,
         "POST",
         "/search",
-        &timed_search_body(&row_vector(3, 4), 3, Some("batched"), 30_000),
+        &timed_search_body(&row_vector(3, 4), 3, 30_000),
     );
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert_eq!(top_id(&resp), 3);
@@ -75,24 +72,20 @@ fn queued_expiry_returns_504_without_running_the_scan() {
 }
 
 /// `max_timeout_ms` clamps a client asking for an hour down to a bound
-/// that expires inside the linger window — proving the cap is applied.
+/// that expires inside the head-to-body gap — proving the cap is applied.
 #[test]
 fn client_timeout_is_clamped_to_the_configured_cap() {
     let config = ServeConfig {
         max_timeout_ms: 5,
-        batch: BatchConfig {
-            linger: Duration::from_millis(80),
-            ..BatchConfig::default()
-        },
         ..ServeConfig::default()
     };
     let (server, dir) = start_server("deadline-cap", config);
 
-    let resp = request(
+    let resp = late_body_request(
         server.addr(),
-        "POST",
         "/search",
-        &timed_search_body(&row_vector(0, 4), 2, Some("batched"), 3_600_000),
+        &timed_search_body(&row_vector(0, 4), 2, 3_600_000),
+        GAP,
     );
     assert_eq!(
         resp.status, 504,
@@ -109,19 +102,15 @@ fn client_timeout_is_clamped_to_the_configured_cap() {
 fn server_default_timeout_applies_when_request_omits_it() {
     let config = ServeConfig {
         default_timeout_ms: 5,
-        batch: BatchConfig {
-            linger: Duration::from_millis(80),
-            ..BatchConfig::default()
-        },
         ..ServeConfig::default()
     };
     let (server, dir) = start_server("deadline-default", config);
 
-    let resp = request(
+    let resp = late_body_request(
         server.addr(),
-        "POST",
         "/search",
-        &search_body(&row_vector(0, 4), 2, Some("batched")),
+        &search_body(&row_vector(0, 4), 2),
+        GAP,
     );
     assert_eq!(resp.status, 504, "default deadline: {}", resp.body);
 
@@ -147,7 +136,7 @@ fn invalid_timeout_is_a_400_and_zero_disables_the_deadline() {
         addr,
         "POST",
         "/search",
-        &timed_search_body(&row_vector(1, 4), 2, None, 0),
+        &timed_search_body(&row_vector(1, 4), 2, 0),
     );
     assert_eq!(resp.status, 200, "{}", resp.body);
 
@@ -155,23 +144,23 @@ fn invalid_timeout_is_a_400_and_zero_disables_the_deadline() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Direct (unbatched) mode honours deadlines too, via the cancellable
-/// snapshot path; with a generous deadline it still answers correctly.
+/// Tight deadlines race the scan; with a generous deadline a search
+/// still answers correctly.
 #[test]
-fn direct_mode_deadline_paths_answer_200_or_504() {
-    let (server, dir) = start_server("deadline-direct", ServeConfig::default());
+fn tight_deadlines_answer_200_or_504() {
+    let (server, dir) = start_server("deadline-tight", ServeConfig::default());
     let addr = server.addr();
 
     let resp = request(
         addr,
         "POST",
         "/search",
-        &timed_search_body(&row_vector(5, 4), 3, Some("direct"), 30_000),
+        &timed_search_body(&row_vector(5, 4), 3, 30_000),
     );
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert_eq!(top_id(&resp), 5);
 
-    // Tight deadlines against the direct path: every answer is either a
+    // Tight deadlines: every answer is either a
     // completed 200 or a 504 that fed no stage timers. (Whether a given
     // request completes is timing-dependent; the invariant is not.)
     let mut fours = 0u64;
@@ -181,7 +170,7 @@ fn direct_mode_deadline_paths_answer_200_or_504() {
         client.send(
             "POST",
             "/search",
-            &timed_search_body(&row_vector(i % 64, 4), 3, Some("direct"), 1),
+            &timed_search_body(&row_vector(i % 64, 4), 3, 1),
         );
         match client.read_response().status {
             200 => twos += 1,
@@ -204,69 +193,18 @@ fn direct_mode_deadline_paths_answer_200_or_504() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One batch, mixed deadlines: the expired member gets its 504 while its
-/// batchmates complete normally — cancellation is per-query.
-#[test]
-fn expired_member_does_not_disturb_its_batchmates() {
-    let config = ServeConfig {
-        workers: 8,
-        batch: BatchConfig {
-            linger: Duration::from_millis(60),
-            ..BatchConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    let (server, dir) = start_server("deadline-batchmates", config);
-    let addr = server.addr();
-
-    // Four clients coalesce into one lingered batch; one carries a 5ms
-    // deadline that dies during the 60ms linger.
-    let threads: Vec<_> = (0..4)
-        .map(|t| {
-            std::thread::spawn(move || {
-                let body = if t == 0 {
-                    timed_search_body(&row_vector(9, 4), 3, Some("batched"), 5)
-                } else {
-                    search_body(&row_vector(t * 3, 4), 3, Some("batched"))
-                };
-                let resp = request(addr, "POST", "/search", &body);
-                (t, resp)
-            })
-        })
-        .collect();
-    for handle in threads {
-        let (t, resp) = handle.join().unwrap();
-        if t == 0 {
-            assert_eq!(resp.status, 504, "client 0 expired: {}", resp.body);
-        } else {
-            assert_eq!(resp.status, 200, "client {t}: {}", resp.body);
-            assert_eq!(top_id(&resp), (t * 3) as u64, "client {t}");
-        }
-    }
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// The 504s and their stage breakdown are scrapeable.
 #[test]
 fn deadline_counters_surface_in_metrics_and_stats() {
-    let config = ServeConfig {
-        batch: BatchConfig {
-            linger: Duration::from_millis(80),
-            ..BatchConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    let (server, dir) = start_server("deadline-metrics", config);
+    let (server, dir) = start_server("deadline-metrics", ServeConfig::default());
     let addr = server.addr();
 
     for _ in 0..3 {
-        let resp = request(
+        let resp = late_body_request(
             addr,
-            "POST",
             "/search",
-            &timed_search_body(&row_vector(1, 4), 2, Some("batched"), 5),
+            &timed_search_body(&row_vector(1, 4), 2, 5),
+            GAP,
         );
         assert_eq!(resp.status, 504);
     }

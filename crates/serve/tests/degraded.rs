@@ -29,7 +29,7 @@ fn read_only_collection_serves_searches_and_rejects_writes_with_503() {
     assert_eq!(health.get("degraded").and_then(Json::as_bool), Some(false));
 
     // Searches answer normally (row 3 is its own nearest neighbour).
-    client.send("POST", "/search", &search_body(&row_vector(3, 4), 3, None));
+    client.send("POST", "/search", &search_body(&row_vector(3, 4), 3));
     let resp = client.read_response();
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert_eq!(top_id(&resp), 3);
@@ -110,7 +110,7 @@ fn quarantined_segment_surfaces_as_degraded_but_writable() {
     );
 
     // The survivors keep serving…
-    client.send("POST", "/search", &search_body(&row_vector(60, 4), 3, None));
+    client.send("POST", "/search", &search_body(&row_vector(60, 4), 3));
     let resp = client.read_response();
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert!(!resp

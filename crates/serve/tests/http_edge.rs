@@ -99,7 +99,7 @@ fn oversized_k_and_nprobe_are_rejected_not_allocated() {
 
     // A hostile k (would size a ~petabyte TopK heap if it got through)
     // is a 400, not an allocation.
-    let vec_json = search_body(&row_vector(0, 4), 1, None);
+    let vec_json = search_body(&row_vector(0, 4), 1);
     let huge_k = vec_json.replace("\"k\":1", "\"k\":1000000000000000");
     let resp = request(addr, "POST", "/search", &huge_k);
     assert_eq!(resp.status, 400, "{:?}", resp.body);
@@ -125,7 +125,7 @@ fn keep_alive_pipelining_answers_in_order() {
     // Three requests written back-to-back before reading anything; the
     // responses come back complete and in order on the same connection.
     let mut client = Client::connect(server.addr());
-    let search = search_body(&row_vector(3, 4), 1, Some("direct"));
+    let search = search_body(&row_vector(3, 4), 1);
     let batch: String = [
         "GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n".to_string(),
         format!(

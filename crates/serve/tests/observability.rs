@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{request, row_vector, search_body, start_server, Client};
+use common::{late_body_request, request, row_vector, search_body, start_server, Client};
 use rabitq_serve::{Json, ServeConfig};
 use std::time::Duration;
 
@@ -18,23 +18,14 @@ fn metrics_scrape_under_live_traffic_is_valid_exposition_text() {
     let (server, dir) = start_server("metrics", config);
     let addr = server.addr();
 
-    // Live traffic on several connections: batched + direct searches,
-    // inserts, deletes, and a client error.
+    // Live traffic on several connections: searches, inserts, deletes,
+    // and a client error.
     let writers: Vec<std::thread::JoinHandle<()>> = (0..3)
-        .map(|t| {
+        .map(|_| {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr);
                 for i in 0..20 {
-                    let mode = if (t + i) % 2 == 0 {
-                        "batched"
-                    } else {
-                        "direct"
-                    };
-                    client.send(
-                        "POST",
-                        "/search",
-                        &search_body(&row_vector(i, 4), 3, Some(mode)),
-                    );
+                    client.send("POST", "/search", &search_body(&row_vector(i, 4), 3));
                     assert_eq!(client.read_response().status, 200);
                 }
             })
@@ -60,13 +51,13 @@ fn metrics_scrape_under_live_traffic_is_valid_exposition_text() {
         .unwrap_or_else(|e| panic!("final scrape invalid: {e}\n{}", scrape.body));
     assert!(series > 40, "expected a rich scrape, got {series} series");
 
-    // Every advertised family is present: server edge, batcher, stage
-    // timers, per-collection store, info gauges.
+    // Every advertised family is present: server edge, stage timers,
+    // per-collection store, info gauges.
     for needle in [
         "rabitq_requests_total",
         "rabitq_responses_total{class=\"2xx\"}",
         "rabitq_responses_total{class=\"4xx\"}",
-        "rabitq_batches_total",
+        "rabitq_shed_total{reason=\"overload\"}",
         "rabitq_search_latency_seconds_bucket",
         "rabitq_search_stage_seconds_bucket{stage=\"scan\"",
         "rabitq_search_stage_seconds_count{stage=\"rerank\"",
@@ -79,6 +70,10 @@ fn metrics_scrape_under_live_traffic_is_valid_exposition_text() {
         "distance_kernel=\"",
     ] {
         assert!(scrape.body.contains(needle), "missing {needle:?}");
+    }
+    // Every search is one engine call on its worker: no batch families.
+    for gone in ["rabitq_batch", "rabitq_collection_queued_searches"] {
+        assert!(!scrape.body.contains(gone), "unexpected {gone:?}");
     }
     // 60 searches were answered; each records one sample per stage.
     assert!(
@@ -98,12 +93,7 @@ fn debug_timings_flag_adds_a_stage_breakdown() {
     let (server, dir) = start_server("timings", ServeConfig::default());
     let addr = server.addr();
 
-    let plain = request(
-        addr,
-        "POST",
-        "/search",
-        &search_body(&row_vector(1, 4), 3, None),
-    );
+    let plain = request(addr, "POST", "/search", &search_body(&row_vector(1, 4), 3));
     assert_eq!(plain.status, 200);
     assert!(plain.json().get("timings_us").is_none());
 
@@ -111,7 +101,7 @@ fn debug_timings_flag_adds_a_stage_breakdown() {
         addr,
         "POST",
         "/search?debug=timings",
-        &search_body(&row_vector(1, 4), 3, None),
+        &search_body(&row_vector(1, 4), 3),
     );
     assert_eq!(debugged.status, 200);
     let body = debugged.json();
@@ -140,23 +130,23 @@ fn debug_timings_flag_adds_a_stage_breakdown() {
 
 #[test]
 fn slow_query_log_and_stats_surface_store_metrics_and_events() {
-    let mut config = ServeConfig {
+    let config = ServeConfig {
         slow_query_ms: 1,
         events_capacity: 8,
         ..ServeConfig::default()
     };
-    // A lone batched search waits out the whole linger before dispatch,
-    // so every request below is "slow" however fast the engine answers.
-    config.batch.linger = Duration::from_millis(3);
     let (server, dir) = start_server("slowlog", config);
     let addr = server.addr();
 
+    // Each body arrives 3 ms after its head, and a search's latency runs
+    // from the head, so every request below is "slow" however fast the
+    // engine answers.
     for i in 0..16 {
-        let resp = request(
+        let resp = late_body_request(
             addr,
-            "POST",
             "/search",
-            &search_body(&row_vector(i, 4), 5, Some("batched")),
+            &search_body(&row_vector(i, 4), 5),
+            Duration::from_millis(3),
         );
         assert_eq!(resp.status, 200);
     }
