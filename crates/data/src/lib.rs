@@ -3,7 +3,7 @@
 //! The paper evaluates on six public datasets (Table 3) that are not
 //! shipped with this repository. This crate provides:
 //!
-//! * [`generate`] — synthetic generators reproducing the *traits the
+//! * [`generate`](mod@generate) — synthetic generators reproducing the *traits the
 //!   evaluation depends on* for each dataset (clustered structure,
 //!   unit-norm embeddings, low-rank correlation, heterogeneous
 //!   per-dimension scales — the MSong failure trigger);

@@ -20,7 +20,7 @@
 //! * [`events`] — a bounded ring journal of structured operational events
 //!   (seals, compactions, quarantines, slow queries);
 //! * [`prometheus`] — a hand-rolled text exposition encoder and the tiny
-//!   format checker CI scrapes `/metrics` with.
+//!   format checker the serving tests run on live `/metrics` scrapes.
 
 pub mod errors;
 pub mod events;

@@ -7,10 +7,11 @@
 //! order — rendering groups every sample under its metric's single block,
 //! which the format requires.
 //!
-//! [`validate`] is the tiny checker the tests and the CI serving smoke
-//! run against a live `/metrics` scrape: header grammar, metric-name and
-//! label syntax, block contiguity, and histogram invariants (ascending
-//! `le`, non-decreasing cumulative counts, `+Inf` present and equal to
+//! [`validate`] is the tiny checker the serving tests
+//! (`serve/tests/{observability,chaos,deadline_api}.rs`) run against a
+//! live `/metrics` scrape: header grammar, metric-name and label syntax,
+//! block contiguity, and histogram invariants (ascending `le`,
+//! non-decreasing cumulative counts, `+Inf` present and equal to
 //! `_count`).
 
 use crate::latency::LatencyHistogram;

@@ -41,8 +41,8 @@
 //! | Route | Method | Purpose |
 //! |---|---|---|
 //! | `/healthz` | GET | liveness probe (uptime, version, SIMD kernel) |
-//! | `/stats` | GET | counters, latency quantiles, store metrics + event journal |
-//! | `/metrics` | GET | Prometheus text exposition of the whole surface |
+//! | `/stats` | GET | per-collection configuration, health and event journal |
+//! | `/metrics` | GET | every count and duration, as Prometheus text |
 //! | `/collections/:name/search` | POST | k-NN search; `?debug=timings` adds a stage breakdown |
 //! | `/collections/:name/insert` | POST | insert one vector or many |
 //! | `/collections/:name/delete` | POST | tombstone ids |

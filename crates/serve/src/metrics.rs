@@ -1,16 +1,17 @@
 //! Server-side counters and latency histograms, all lock-free.
 //!
-//! One [`ServerMetrics`] is shared by every connection worker; `/stats`
-//! renders it as JSON. Latency uses the log-bucketed [`LatencyHistogram`]
-//! from `rabitq-metrics`.
+//! One [`ServerMetrics`] is shared by every connection worker; `/metrics`
+//! exports every field as Prometheus text, and `/stats` keeps only the
+//! three keys the perf ledger reads. Latency uses the log-bucketed
+//! [`LatencyHistogram`] from `rabitq-metrics`.
 
 use crate::json::Json;
 use crate::json_obj;
-use rabitq_metrics::{LatencyHistogram, Stage, StageTimers};
+use rabitq_metrics::{LatencyHistogram, StageTimers};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared serving metrics.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServerMetrics {
     /// Requests fully parsed off a connection.
     pub requests: AtomicU64,
@@ -56,32 +57,10 @@ pub struct ServerMetrics {
     pub stages: StageTimers,
 }
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ServerMetrics {
     /// Fresh zeroed metrics.
     pub fn new() -> Self {
-        Self {
-            requests: AtomicU64::new(0),
-            ok_responses: AtomicU64::new(0),
-            client_errors: AtomicU64::new(0),
-            server_errors: AtomicU64::new(0),
-            shed_overload: AtomicU64::new(0),
-            shed_unavailable: AtomicU64::new(0),
-            rejected_read_only: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            expired_in_queue: AtomicU64::new(0),
-            cancelled_mid_scan: AtomicU64::new(0),
-            cancelled_after: LatencyHistogram::new(),
-            inserts: AtomicU64::new(0),
-            deletes: AtomicU64::new(0),
-            search_latency: LatencyHistogram::new(),
-            stages: StageTimers::new(),
-        }
+        Self::default()
     }
 
     /// Tallies a response status into the 2xx/4xx/5xx counters.
@@ -106,50 +85,12 @@ impl ServerMetrics {
         }
     }
 
-    /// Renders everything as the `/stats` JSON fragment.
+    /// The `/stats` `metrics` fragment: the three keys the frozen perf
+    /// ledger reads.
     pub fn to_json(&self) -> Json {
         json_obj! {
             "requests" => self.requests.load(Ordering::Relaxed),
-            "responses_2xx" => self.ok_responses.load(Ordering::Relaxed),
-            "responses_4xx" => self.client_errors.load(Ordering::Relaxed),
-            "responses_5xx" => self.server_errors.load(Ordering::Relaxed),
             "shed_overload" => self.shed_overload.load(Ordering::Relaxed),
-            "shed_unavailable" => self.shed_unavailable.load(Ordering::Relaxed),
-            "rejected_read_only" => self.rejected_read_only.load(Ordering::Relaxed),
-            "deadline_exceeded" => self.deadline_exceeded.load(Ordering::Relaxed),
-            "expired_in_queue" => self.expired_in_queue.load(Ordering::Relaxed),
-            "cancelled_mid_scan" => self.cancelled_mid_scan.load(Ordering::Relaxed),
-            "cancelled_after_us" => json_obj! {
-                "count" => self.cancelled_after.count(),
-                "mean" => self.cancelled_after.mean_us(),
-                "p99" => self.cancelled_after.quantile_us(0.99)
-            },
-            "inserts" => self.inserts.load(Ordering::Relaxed),
-            "deletes" => self.deletes.load(Ordering::Relaxed),
-            "search_latency_us" => json_obj! {
-                "count" => self.search_latency.count(),
-                "mean" => self.search_latency.mean_us(),
-                "p50" => self.search_latency.quantile_us(0.50),
-                "p95" => self.search_latency.quantile_us(0.95),
-                "p99" => self.search_latency.quantile_us(0.99)
-            },
-            "search_stages_us" => Json::Obj(
-                Stage::ALL
-                    .iter()
-                    .map(|&stage| {
-                        let h = self.stages.hist(stage);
-                        (
-                            stage.name().to_string(),
-                            json_obj! {
-                                "count" => h.count(),
-                                "total" => h.sum_us(),
-                                "mean" => h.mean_us(),
-                                "p99" => h.quantile_us(0.99)
-                            },
-                        )
-                    })
-                    .collect(),
-            ),
             "mean_batch_size" => self.mean_batch_size()
         }
     }
@@ -182,11 +123,17 @@ mod tests {
     #[test]
     fn stats_json_is_well_formed() {
         let m = ServerMetrics::new();
+        m.requests.fetch_add(2, Ordering::Relaxed);
         m.search_latency.record_us(150);
         let j = m.to_json();
+        let Json::Obj(fields) = &j else {
+            panic!("not an object: {j:?}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["requests", "shed_overload", "mean_batch_size"]);
+        assert_eq!(j.get("requests").and_then(Json::as_u64), Some(2));
+        assert_eq!(j.get("shed_overload").and_then(Json::as_u64), Some(0));
         assert_eq!(j.get("mean_batch_size").and_then(Json::as_f64), Some(1.0));
-        let lat = j.get("search_latency_us").unwrap();
-        assert_eq!(lat.get("count").and_then(Json::as_u64), Some(1));
         // And it encodes + reparses.
         let text = j.encode();
         assert!(Json::parse(&text).is_ok(), "{text}");

@@ -3,8 +3,8 @@
 //! | Route | Method | Body | Response |
 //! |---|---|---|---|
 //! | `/healthz` | GET | — | `{"status":"ok"|"degraded"|"draining","read_only":…,"degraded":…,"draining":…,"uptime_ms":…,"version":…,"kernel":…,"distance_kernel":…}` |
-//! | `/stats` | GET | — | metrics + per-collection sizes, health, store counters, event journal |
-//! | `/metrics` | GET | — | Prometheus text exposition (`text/plain; version=0.0.4`) |
+//! | `/stats` | GET | — | `{"uptime_ms","metrics":{"requests","shed_overload","mean_batch_size"},"collections":{name:{"dim","rotator","code_bits","degraded","read_only","quarantined_segments","events"}}}` |
+//! | `/metrics` | GET | — | every count and duration, as Prometheus text (`text/plain; version=0.0.4`) |
 //! | `/collections/:name/search` | POST | `{"vector":[…], "k"?, "nprobe"?, "timeout_ms"?}` | `{"neighbors":[{"id","distance"}…],…}`; `?debug=timings` adds `timings_us` |
 //! | `/collections/:name/insert` | POST | `{"vector":[…]}` or `{"vectors":[[…]…]}` | `{"ids":[…]}` |
 //! | `/collections/:name/delete` | POST | `{"id":n}` or `{"ids":[…]}` | `{"deleted":n}` |
@@ -111,30 +111,28 @@ fn healthz(state: &ServerState) -> Response {
     Response::json(200, body.encode())
 }
 
+/// `/stats`: only what Prometheus text cannot carry — each collection's
+/// configuration, health and event journal — plus the three `metrics`
+/// keys the perf ledger reads. Every count and duration is in `/metrics`.
 fn stats(state: &ServerState) -> Response {
     let collections = Json::Obj(
         state
             .collections
             .iter()
             .map(|(name, served)| {
-                let snapshot = served.reader.snapshot();
+                let dim = served.reader.dim();
                 let health = served.reader.health();
-                let store = served.reader.metrics();
                 let rabitq = served.reader.rabitq();
                 (
                     name.clone(),
                     json_obj! {
-                        "dim" => snapshot.dim(),
+                        "dim" => dim,
                         "rotator" => format!("{:?}", rabitq.rotator),
-                        "code_bits" => rabitq.rotator.code_length(snapshot.dim(), rabitq.padded_dim),
-                        "live_vectors" => snapshot.len(),
-                        "segments" => snapshot.n_segments(),
-                        "memtable_rows" => snapshot.memtable_len(),
+                        "code_bits" => rabitq.rotator.code_length(dim, rabitq.padded_dim),
                         "degraded" => health.degraded,
                         "read_only" => health.read_only,
                         "quarantined_segments" => health.quarantined_segments,
-                        "store" => store_json(store),
-                        "events" => events_json(&store.journal)
+                        "events" => events_json(&served.reader.metrics().journal)
                     },
                 )
             })
@@ -414,26 +412,6 @@ fn metrics_text(state: &ServerState) -> Response {
     }
 }
 
-/// The per-collection store counters as a `/stats` fragment.
-fn store_json(m: &StoreMetrics) -> Json {
-    json_obj! {
-        "wal_appends" => StoreMetrics::get(&m.wal_appends),
-        "wal_append_us_p99" => m.wal_append_us.quantile_us(0.99),
-        "wal_syncs" => StoreMetrics::get(&m.wal_syncs),
-        "seals" => StoreMetrics::get(&m.seals),
-        "seal_us_mean" => m.seal_us.mean_us(),
-        "segment_opens" => StoreMetrics::get(&m.segment_opens),
-        "compactions" => StoreMetrics::get(&m.compactions),
-        "compaction_bytes_in" => StoreMetrics::get(&m.compaction_bytes_in),
-        "compaction_bytes_out" => StoreMetrics::get(&m.compaction_bytes_out),
-        "quarantines" => StoreMetrics::get(&m.quarantines),
-        "read_only_flips" => StoreMetrics::get(&m.read_only_flips),
-        "io_retries" => StoreMetrics::get(&m.io_retries),
-        "thaws" => StoreMetrics::get(&m.thaws),
-        "publishes" => StoreMetrics::get(&m.publishes)
-    }
-}
-
 /// The event journal (oldest first) as a `/stats` fragment.
 fn events_json(journal: &EventJournal) -> Json {
     Json::Arr(
@@ -562,18 +540,15 @@ fn search(state: &ServerState, served: &ServedCollection, req: &Request) -> Resp
     state.metrics.search_latency.record(elapsed);
     state.metrics.stages.record(&result.stages);
     if state.config.slow_query_ms > 0 && elapsed.as_millis() as u64 >= state.config.slow_query_ms {
-        let s = &result.stages;
+        let stages: String = Stage::ALL
+            .iter()
+            .map(|&s| format!(" {}={}", s.name(), result.stages.get_ns(s) / 1000))
+            .collect();
         served.reader.metrics().journal.push(
             "slow_query",
             format!(
-                "{}us k={k} nprobe={nprobe} stages_us rotate={} lut_build={} \
-                 scan={} rerank={} merge={}",
-                elapsed.as_micros(),
-                s.get_ns(Stage::Rotate) / 1000,
-                s.get_ns(Stage::LutBuild) / 1000,
-                s.get_ns(Stage::Scan) / 1000,
-                s.get_ns(Stage::Rerank) / 1000,
-                s.get_ns(Stage::Merge) / 1000,
+                "{}us k={k} nprobe={nprobe} stages_us{stages}",
+                elapsed.as_micros()
             ),
         );
     }

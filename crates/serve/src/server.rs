@@ -43,6 +43,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// Per-connection socket write timeout: a client that stops reading its
+/// response gets disconnected instead of pinning a worker.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Consecutive read-timeout ticks an idle keep-alive connection may hold
+/// a worker before being closed.
+const IDLE_TIMEOUT_TICKS: u32 = 600;
+
 /// Everything tunable about the server.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -67,14 +75,8 @@ pub struct ServeConfig {
     pub max_nprobe: usize,
     /// Per-connection socket read timeout (also the shutdown poll tick).
     pub read_timeout: Duration,
-    /// Per-connection socket write timeout: a client that stops reading
-    /// its response gets disconnected instead of pinning a worker.
-    pub write_timeout: Duration,
     /// Consecutive read-timeout ticks tolerated mid-request before `408`.
     pub partial_timeout_ticks: u32,
-    /// Consecutive read-timeout ticks an idle keep-alive connection may
-    /// hold a worker before being closed.
-    pub idle_timeout_ticks: u32,
     /// Searches slower than this (end-to-end, milliseconds) are recorded
     /// in the collection's event journal with their parameters and stage
     /// breakdown. `0` disables the slow-query log.
@@ -105,9 +107,7 @@ impl Default for ServeConfig {
             max_k: 4096,
             max_nprobe: 65536,
             read_timeout: Duration::from_millis(100),
-            write_timeout: Duration::from_secs(5),
             partial_timeout_ticks: 20,
-            idle_timeout_ticks: 600,
             slow_query_ms: 0,
             events_capacity: 256,
             default_timeout_ms: 0,
@@ -274,9 +274,7 @@ fn accept_loop(listener: &TcpListener, state: &ServerState, conns: &ConnQueue) {
                 // A write timeout too: without it, a client that stops
                 // reading blocks write_all forever once the socket buffer
                 // fills, pinning this worker and hanging shutdown's join.
-                stream
-                    .set_write_timeout(Some(state.config.write_timeout))
-                    .ok();
+                stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
                 let mut q = conns.queue.lock().unwrap_or_else(|e| e.into_inner());
                 if q.0.len() >= state.config.conn_backlog {
                     drop(q);
@@ -381,7 +379,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
                         .ok();
                     return;
                 }
-                if !partial && timeout_ticks > state.config.idle_timeout_ticks {
+                if !partial && timeout_ticks > IDLE_TIMEOUT_TICKS {
                     return; // reclaim the worker from an idle connection
                 }
             }

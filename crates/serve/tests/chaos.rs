@@ -225,16 +225,8 @@ fn transient_fault_freeze_and_thaw_over_http() {
     ] {
         assert!(scrape.body.contains(needle), "missing {needle:?}");
     }
-    let stats = request(addr, "GET", "/stats", "").json();
-    let store = stats
-        .get("collections")
-        .and_then(|c| c.get("test"))
-        .and_then(|c| c.get("store"))
-        .unwrap();
-    assert_eq!(store.get("read_only_flips").and_then(Json::as_u64), Some(1));
-    assert_eq!(store.get("thaws").and_then(Json::as_u64), Some(1));
-
     // The journal tells the story in order: read_only, then recovered.
+    let stats = request(addr, "GET", "/stats", "").json();
     let events = stats
         .get("collections")
         .and_then(|c| c.get("test"))

@@ -171,6 +171,17 @@ pub fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> HttpRe
     client.read_response()
 }
 
+/// The value of one sample in a `/metrics` scrape; `series` is the
+/// sample's name and labels exactly as printed.
+pub fn sample(scrape: &str, series: &str) -> f64 {
+    scrape
+        .lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no sample {series:?} in\n{scrape}"))
+        .parse()
+        .unwrap()
+}
+
 /// Serializes a query vector as the search request body.
 pub fn search_body(vector: &[f32], k: usize) -> String {
     let vec_json: Vec<String> = vector.iter().map(|v| format!("{v}")).collect();

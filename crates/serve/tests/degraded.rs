@@ -1,11 +1,11 @@
 //! Degraded-mode serving: a collection that froze read-only (write-path
 //! storage fault) or opened degraded (quarantined segment) must keep
 //! answering searches, reject mutations with `503` (not `500`), and
-//! surface its state through `/healthz` and `/stats`.
+//! surface its state through `/healthz`, `/stats` and `/metrics`.
 
 mod common;
 
-use common::{row_vector, search_body, seeded_collection, top_id, Client};
+use common::{row_vector, sample, search_body, seeded_collection, top_id, Client};
 use rabitq_serve::{Json, ServeConfig, Server};
 use rabitq_store::Collection;
 
@@ -43,14 +43,12 @@ fn read_only_collection_serves_searches_and_rejects_writes_with_503() {
     let resp = client.read_response();
     assert_eq!(resp.status, 503, "{}", resp.body);
 
-    // And the shed shows up in /stats, per collection and as a counter.
+    // And the shed shows up as a counter, the state per collection.
+    client.send("GET", "/metrics", "");
+    let scrape = client.read_response().body;
+    assert_eq!(sample(&scrape, "rabitq_rejected_read_only_total"), 2.0);
     client.send("GET", "/stats", "");
     let stats = client.read_response().json();
-    let metrics = stats.get("metrics").unwrap();
-    assert_eq!(
-        metrics.get("rejected_read_only").and_then(Json::as_u64),
-        Some(2)
-    );
     let coll = stats.get("collections").unwrap().get("test").unwrap();
     assert_eq!(coll.get("read_only").and_then(Json::as_bool), Some(true));
     assert_eq!(coll.get("degraded").and_then(Json::as_bool), Some(false));

@@ -71,13 +71,45 @@ fn insert_search_delete_round_trip() {
     );
     assert_ne!(top_id(&gone), new_id);
 
-    // Stats reflect the traffic.
+    // The counters reflect the traffic.
+    let scrape = request(addr, "GET", "/metrics", "").body;
+    assert_eq!(sample(&scrape, "rabitq_inserts_total"), 1.0);
+    assert_eq!(sample(&scrape, "rabitq_deletes_total"), 1.0);
+
+    // `/stats` keeps exactly what Prometheus text cannot carry, plus the
+    // three keys the perf ledger reads.
     let stats = request(addr, "GET", "/stats", "").json();
+    let keys = |j: &Json| match j {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("not an object: {other:?}"),
+    };
+    assert_eq!(keys(&stats), ["uptime_ms", "metrics", "collections"]);
     let metrics = stats.get("metrics").unwrap();
-    assert_eq!(metrics.get("inserts").and_then(Json::as_u64), Some(1));
-    assert_eq!(metrics.get("deletes").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        keys(metrics),
+        ["requests", "shed_overload", "mean_batch_size"]
+    );
     assert!(metrics.get("requests").and_then(Json::as_u64).unwrap() >= 5);
-    let coll = stats.get("collections").unwrap().get("test").unwrap();
+    assert_eq!(metrics.get("shed_overload").and_then(Json::as_u64), Some(0));
+    assert_eq!(
+        metrics.get("mean_batch_size").and_then(Json::as_f64),
+        Some(1.0)
+    );
+    let collections = stats.get("collections").unwrap();
+    assert_eq!(keys(collections), ["test"]);
+    let coll = collections.get("test").unwrap();
+    assert_eq!(
+        keys(coll),
+        [
+            "dim",
+            "rotator",
+            "code_bits",
+            "degraded",
+            "read_only",
+            "quarantined_segments",
+            "events"
+        ]
+    );
     assert_eq!(coll.get("dim").and_then(Json::as_u64), Some(4));
 
     server.shutdown();
@@ -225,9 +257,15 @@ fn full_connection_backlog_sheds_503_as_overload() {
     let metrics = stats.json();
     let metrics = metrics.get("metrics").unwrap();
     assert_eq!(metrics.get("shed_overload").and_then(Json::as_u64), Some(1));
+    queued.send("GET", "/metrics", "");
+    let scrape = queued.read_response().body;
     assert_eq!(
-        metrics.get("shed_unavailable").and_then(Json::as_u64),
-        Some(0)
+        sample(&scrape, "rabitq_shed_total{reason=\"overload\"}"),
+        1.0
+    );
+    assert_eq!(
+        sample(&scrape, "rabitq_shed_total{reason=\"unavailable\"}"),
+        0.0
     );
 
     server.shutdown();

@@ -1,11 +1,12 @@
 //! Socket-level tests of the observability surface: `/metrics` scraped
 //! under live traffic and validated against the exposition-format
 //! checker, `?debug=timings` breakdowns, the slow-query log, the
-//! enriched `/healthz`, and store metrics/events in `/stats`.
+//! enriched `/healthz`, store metrics in `/metrics` and events in
+//! `/stats`.
 
 mod common;
 
-use common::{late_body_request, request, row_vector, search_body, start_server, Client};
+use common::{late_body_request, request, row_vector, sample, search_body, start_server, Client};
 use rabitq_serve::{Json, ServeConfig};
 use std::time::Duration;
 
@@ -162,10 +163,6 @@ fn slow_query_log_and_stats_surface_store_metrics_and_events() {
         Some("RandomizedHadamard")
     );
     assert_eq!(coll.get("code_bits").and_then(Json::as_u64), Some(64));
-    let store = coll.get("store").expect("store metrics in /stats");
-    // The seeded collection WAL'd 64 inserts and sealed at least once.
-    assert_eq!(store.get("wal_appends").and_then(Json::as_u64), Some(64));
-    assert!(store.get("seals").and_then(Json::as_u64).unwrap() >= 1);
     let events = coll.get("events").and_then(Json::as_array).unwrap();
     assert!(!events.is_empty());
     assert!(
@@ -186,17 +183,40 @@ fn slow_query_log_and_stats_surface_store_metrics_and_events() {
         .collect();
     assert!(seqs[0] >= 8, "oldest retained seq {} < 8", seqs[0]);
     assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "seqs {seqs:?}");
+    // Each slow query names its parameters and every stage, in order.
+    for event in events {
+        let detail = event.get("detail").and_then(Json::as_str).unwrap();
+        let words: Vec<&str> = detail.split(' ').collect();
+        let elapsed = words[0].strip_suffix("us");
+        assert!(
+            elapsed.is_some_and(|n| n.parse::<u64>().is_ok()),
+            "{detail}"
+        );
+        assert_eq!(words[1..4], ["k=5", "nprobe=32", "stages_us"], "{detail}");
+        let stages: Vec<&str> = words[4..]
+            .iter()
+            .map(|w| {
+                let (name, us) = w.split_once('=').expect(detail);
+                assert!(us.parse::<u64>().is_ok(), "{detail}");
+                name
+            })
+            .collect();
+        assert_eq!(stages, ["rotate", "lut_build", "scan", "rerank", "merge"]);
+    }
 
-    let stages = stats
-        .get("metrics")
-        .and_then(|m| m.get("search_stages_us"))
-        .expect("aggregated stage timers in /stats");
+    let scrape = request(addr, "GET", "/metrics", "").body;
+    // The seeded collection WAL'd 64 inserts and sealed at least once.
     assert_eq!(
-        stages
-            .get("scan")
-            .and_then(|s| s.get("count"))
-            .and_then(Json::as_u64),
-        Some(16)
+        sample(
+            &scrape,
+            "rabitq_store_wal_appends_total{collection=\"test\"}"
+        ),
+        64.0
+    );
+    assert!(sample(&scrape, "rabitq_store_seals_total{collection=\"test\"}") >= 1.0);
+    assert_eq!(
+        sample(&scrape, "rabitq_search_stage_seconds_count{stage=\"scan\"}"),
+        16.0
     );
 
     server.shutdown();

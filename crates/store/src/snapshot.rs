@@ -447,8 +447,8 @@ impl CollectionReader {
         self.slot.load()
     }
 
-    /// Live vectors in the latest snapshot (memtable + segments). The
-    /// serving layer's `/stats` accessor — no writer lock involved.
+    /// Live vectors in the latest snapshot (memtable + segments), read
+    /// without the writer lock.
     pub fn len(&self) -> usize {
         self.snapshot().len()
     }
