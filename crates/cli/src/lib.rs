@@ -477,6 +477,12 @@ fn cmd_graph_search(flags: &Flags) -> Result<(), String> {
 fn cmd_ingest(flags: &Flags) -> Result<(), String> {
     let dir = flags.path("dir")?;
     let (data, dim) = read_fvecs_checked(&flags.path("data")?)?;
+    if let Some(at) = data.iter().position(|v| !v.is_finite()) {
+        return Err(format!(
+            "row {} of the data holds a non-finite value; a collection takes finite rows only",
+            at / dim
+        ));
+    }
     let mut config = CollectionConfig::new(dim);
     config.memtable_capacity = flags.usize_or("memtable", 4096)?;
     config.rabitq.bq = flags.usize_or("bq", 4)? as u8;
@@ -1483,6 +1489,27 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("D = 8"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ingest_refuses_non_finite_rows_before_opening_the_collection() {
+        let dir = tmp_dir("non-finite");
+        let data = dir.join("bad.fvecs");
+        let mut rows = vec![0.5f32; 40];
+        rows[21] = f32::NAN;
+        io::write_fvecs(&data, &rows, 8).unwrap();
+        let coll = dir.join("coll");
+        let err = run(&args(&[
+            "ingest",
+            "--dir",
+            coll.to_str().unwrap(),
+            "--data",
+            data.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("row 2") && err.contains("non-finite"), "{err}");
+        assert!(!coll.exists(), "the collection was created");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -612,7 +612,11 @@ impl IvfRabitq {
     /// Scans this index under the plan in `scratch` (built by
     /// [`IvfRabitq::plan_into`] on an index with the same rotation and
     /// centre): probes the `nprobe` nearest buckets (charged to
-    /// [`Stage::Rotate`]), estimates their codes from the plan's one LUT
+    /// [`Stage::Rotate`]) through the coarse quantizer's exact screen
+    /// ([`KMeans::assign_top_n_into`]: an integer pass over 7-bit centroid
+    /// codes, then float distances only where the bound cannot rule a
+    /// centroid out; the buckets and distances are the full scan's),
+    /// estimates their codes from the plan's one LUT
     /// and re-ranks by `strategy` into the plan's one top-K, pushing each
     /// row as `remap(local id)`. Returns `(n_estimated, n_reranked)`, or
     /// `None` when `cancel` fired at a bucket boundary (the top-K then
@@ -820,10 +824,18 @@ impl IvfRabitq {
         if centroids.is_empty() || centroids.len() % dim != 0 {
             return Err(p::invalid("centroid buffer shape"));
         }
+        // A non-finite centroid poisons every distance the probe and the
+        // estimator take from it; no build writes one.
+        if !centroids.iter().all(|v| v.is_finite()) {
+            return Err(p::invalid("non-finite centroid"));
+        }
         let coarse = KMeans::from_centroids(centroids, dim);
         let rotated_centroids = p::read_f32_vec(&mut *r)?;
         if rotated_centroids.len() != coarse.k() * quantizer.padded_dim() {
             return Err(p::invalid("rotated centroid buffer shape"));
+        }
+        if !rotated_centroids.iter().all(|v| v.is_finite()) {
+            return Err(p::invalid("non-finite rotated centroid"));
         }
         let n_buckets = p::read_usize(&mut *r)?;
         if n_buckets != coarse.k() {
@@ -1172,6 +1184,34 @@ mod tests {
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
             assert!(err.to_string().contains(why), "{err}");
         }
+    }
+
+    #[test]
+    fn read_rejects_non_finite_centroids() {
+        let ds = dataset(300, 16);
+        let mut index = build(&ds, 4);
+        let rewritten = |index: &IvfRabitq| {
+            let mut bytes = Vec::new();
+            index.write(&mut bytes).unwrap();
+            IvfRabitq::read(&mut bytes.as_slice())
+                .err()
+                .expect("a non-finite centroid was accepted")
+        };
+        let mut centroids = index.coarse.centroids().to_vec();
+        centroids[5] = f32::NAN;
+        let clean = std::mem::replace(&mut index.coarse, KMeans::from_centroids(centroids, 16));
+        let err = rewritten(&index);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("non-finite centroid"), "{err}");
+
+        index.coarse = clean;
+        index.rotated_centroids[3] = f32::INFINITY;
+        let err = rewritten(&index);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("non-finite rotated centroid"),
+            "{err}"
+        );
     }
 
     #[test]

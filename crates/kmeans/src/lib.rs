@@ -11,8 +11,21 @@
 //! The implementation is plain k-means++ seeding plus Lloyd iterations with
 //! empty-cluster repair (an empty cluster is re-seeded from the point
 //! farthest from its current centroid, Faiss-style).
+//!
+//! The probe, [`KMeans::assign_top_n_into`], runs behind an **exact
+//! screen**. Every model keeps, in memory only, a 7-bit copy of its
+//! centroids on one uniform grid (`lo`, `step`) and each centroid's
+//! quantisation error `e_c = ‖c − c̃‖`. A probe quantises the query once
+//! (error `e_q`), takes the integer distance `D_c = Σ(q̂ − ĉ)²` to every
+//! centroid with [`rabitq_math::simd::l2_sq_u7`], and by the triangle
+//! inequality `‖x − c‖ ≥ step·√D_c − e_q − e_c`. It computes the float
+//! distance for the `n` smallest bounds, then only for centroids whose
+//! bound (less a `2⁻¹⁰` share, which covers the rounding of the float
+//! distance) does not exceed the current `n`-th distance. The answer is
+//! the full scan's to the bit. [`KMeans::assign`], [`KMeans::assign_all`]
+//! and [`train`] are not screened.
 
-use rabitq_math::vecs;
+use rabitq_math::{simd, vecs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,10 +69,184 @@ pub struct KMeans {
     centroids: Vec<f32>,
     dim: usize,
     k: usize,
+    /// The probe's exact screen, derived from `centroids`; never persisted.
+    screen: Screen,
     /// Final training objective (mean squared distance to assigned centroid).
     pub objective: f64,
     /// Number of Lloyd iterations actually run.
     pub iterations: usize,
+}
+
+/// Dimensions quantised per pass of the screen; the query's code for one
+/// pass lives on the stack.
+const SCREEN_CHUNK: usize = 2048;
+
+/// Centroids per integer-kernel call; their sums live on the stack.
+const SUM_BLOCK: usize = 64;
+
+/// The share of a bound the screen trusts: the float distance it stands in
+/// for is off by far less than `2⁻¹⁰` of itself.
+const BOUND_SLACK: f64 = 1.0 - 1.0 / 1024.0;
+
+/// A relative margin far above the `f64` rounding of the error norms and
+/// of `step·√D` (each term below `dim·2⁻⁵³` of its magnitude).
+const F64_SLACK: f64 = 1.0 / (1u64 << 32) as f64;
+
+/// 7-bit codes of every centroid on one grid `lo + step·code`, and each
+/// centroid's distance to its code. Non-finite coordinates quantise to
+/// either end of the grid and give a non-finite error, which bounds
+/// nothing.
+#[derive(Clone, Debug)]
+struct Screen {
+    dim: usize,
+    lo: f32,
+    /// `127 / (hi − lo)` as the quantiser multiplies by it; `0` when every
+    /// finite coordinate is equal.
+    inv_step: f32,
+    /// `(hi − lo) / 127`, the grid's spacing in reconstruction.
+    step: f64,
+    /// What the error norms give up to absolute rounding: `√dim·2⁻⁴⁸` of
+    /// the grid's largest magnitude (each reconstructed coordinate is
+    /// within `2⁻⁵³` of it).
+    margin: f64,
+    /// What the squared bound gives up: `dim` smallest normal `f32`s, as
+    /// terms that small may vanish from the float distance.
+    floor: f64,
+    /// `k × dim` codes, pass-major: each pass of [`SCREEN_CHUNK`]
+    /// dimensions holds its slice of every centroid's code back to back
+    /// (row-major when `dim ≤ SCREEN_CHUNK`).
+    codes: Vec<u8>,
+    /// `e_c = ‖c − c̃‖`, in `f64`.
+    errors: Vec<f64>,
+}
+
+impl Screen {
+    fn build(centroids: &[f32], dim: usize) -> Self {
+        let (lo, hi) = centroids
+            .iter()
+            .filter(|v| v.is_finite())
+            .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            });
+        let (lo, hi) = if lo <= hi { (lo, hi) } else { (0.0, 0.0) };
+        let span = hi as f64 - lo as f64;
+        let grid = Self {
+            dim,
+            lo,
+            inv_step: if span > 0.0 {
+                (127.0 / span) as f32
+            } else {
+                0.0
+            },
+            step: span / 127.0,
+            margin: (dim as f64).sqrt() * lo.abs().max(hi.abs()) as f64 * 2f64.powi(-48),
+            floor: dim as f64 * f32::MIN_POSITIVE as f64,
+            codes: Vec::new(),
+            errors: Vec::new(),
+        };
+        let kernel = simd::active_kernel();
+        let mut row_major = vec![0; centroids.len()];
+        let errors = centroids
+            .chunks_exact(dim)
+            .zip(row_major.chunks_exact_mut(dim))
+            .map(|(row, code)| {
+                simd::quantise_u7(kernel, row, grid.lo, grid.inv_step, code);
+                grid.error_sq(row, code).sqrt()
+            })
+            .collect();
+        let codes = (0..dim)
+            .step_by(SCREEN_CHUNK)
+            .flat_map(|start| {
+                let end = (start + SCREEN_CHUNK).min(dim);
+                row_major
+                    .chunks_exact(dim)
+                    .flat_map(move |code| &code[start..end])
+            })
+            .copied()
+            .collect();
+        Self {
+            codes,
+            errors,
+            ..grid
+        }
+    }
+
+    /// `‖x − (lo + step·code)‖²` in `f64`, over four lanes.
+    fn error_sq(&self, x: &[f32], code: &[u8]) -> f64 {
+        let (lo, step) = (self.lo as f64, self.step);
+        let term = |v: f32, q: u8| {
+            let e = v as f64 - (lo + step * q as f64);
+            e * e
+        };
+        let mut lanes = [0.0f64; 4];
+        let (blocks_x, tail_x) = x.as_chunks::<4>();
+        let (blocks_q, tail_q) = code.as_chunks::<4>();
+        for (bx, bq) in blocks_x.iter().zip(blocks_q) {
+            for ((lane, &v), &q) in lanes.iter_mut().zip(bx).zip(bq) {
+                *lane += term(v, q);
+            }
+        }
+        let tail: f64 = tail_x.iter().zip(tail_q).map(|(&v, &q)| term(v, q)).sum();
+        lanes.iter().sum::<f64>() + tail
+    }
+
+    /// Fills `out` with `(c, bound_c)` for every centroid, a value the
+    /// float distance `vecs::l2_sq(centroid c, x)` cannot fall below:
+    /// `max(0, step·√D_c − e_q − e_c)²` less its slack. A NaN or infinite
+    /// query entry makes every bound non-positive.
+    fn bounds_into(&self, x: &[f32], out: &mut Vec<(usize, f32)>) {
+        let (dim, k) = (self.dim, self.errors.len());
+        let kernel = simd::active_kernel();
+        let mut query = [0u8; SCREEN_CHUNK];
+        let mut sums = [0u32; SUM_BLOCK];
+        let mut query_error_sq = 0.0f64;
+        // While the passes run, `out[c].0` accumulates `D_c`.
+        out.resize(k, (0, 0.0));
+        for start in (0..dim).step_by(SCREEN_CHUNK) {
+            let end = (start + SCREEN_CHUNK).min(dim);
+            let q = &mut query[..end - start];
+            simd::quantise_u7(kernel, &x[start..end], self.lo, self.inv_step, q);
+            query_error_sq += self.error_sq(&x[start..end], q);
+            let pass = &self.codes[k * start..k * end];
+            for (slots, rows) in out
+                .chunks_mut(SUM_BLOCK)
+                .zip(pass.chunks(SUM_BLOCK * q.len()))
+            {
+                let sums = &mut sums[..slots.len()];
+                simd::l2_sq_u7(kernel, q, rows, sums);
+                for ((sum, _), &part) in slots.iter_mut().zip(&*sums) {
+                    *sum = sum.saturating_add(part as usize);
+                }
+            }
+        }
+        let query_error = query_error_sq.sqrt();
+        for (c, (slot, &error)) in out.iter_mut().zip(&self.errors).enumerate() {
+            let grid_distance = self.step * (slot.0 as f64).sqrt() * (1.0 - F64_SLACK);
+            let errors = (query_error + error) * (1.0 + F64_SLACK) + self.margin;
+            let gap = (grid_distance - errors).max(0.0);
+            *slot = (c, (gap * gap * BOUND_SLACK - self.floor) as f32);
+        }
+    }
+}
+
+/// Index and squared distance of the centroid nearest to `x` (the first on
+/// a tie), over a flat `k × dim` buffer.
+fn nearest(centroids: &[f32], dim: usize, x: &[f32]) -> (usize, f32) {
+    let mut best = 0usize;
+    let mut best_d = f32::INFINITY;
+    for (c, centroid) in centroids.chunks_exact(dim).enumerate() {
+        let d = vecs::l2_sq(centroid, x);
+        if d < best_d {
+            best_d = d;
+            best = c;
+        }
+    }
+    (best, best_d)
+}
+
+/// The probe's order: distance by `total_cmp`, then centroid index.
+fn by_distance_then_index(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::Ordering {
+    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
 }
 
 impl KMeans {
@@ -73,13 +260,18 @@ impl KMeans {
             !centroids.is_empty() && centroids.len().is_multiple_of(dim),
             "centroid buffer shape"
         );
-        let k = centroids.len() / dim;
+        Self::with_screen(centroids, dim, f64::NAN, 0)
+    }
+
+    /// A final model over `centroids`, its screen built.
+    fn with_screen(centroids: Vec<f32>, dim: usize, objective: f64, iterations: usize) -> Self {
         Self {
+            k: centroids.len() / dim,
+            screen: Screen::build(&centroids, dim),
             centroids,
             dim,
-            k,
-            objective: f64::NAN,
-            iterations: 0,
+            objective,
+            iterations,
         }
     }
 
@@ -110,16 +302,7 @@ impl KMeans {
     /// Index of the nearest centroid to `x` and the squared distance to it.
     pub fn assign(&self, x: &[f32]) -> (usize, f32) {
         debug_assert_eq!(x.len(), self.dim);
-        let mut best = 0usize;
-        let mut best_d = f32::INFINITY;
-        for c in 0..self.k {
-            let d = vecs::l2_sq(self.centroid(c), x);
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        (best, best_d)
+        nearest(&self.centroids, self.dim, x)
     }
 
     /// Indices of the `n` nearest centroids to `x`, nearest first.
@@ -131,21 +314,60 @@ impl KMeans {
         dists
     }
 
-    /// [`KMeans::assign_top_n`] into a reused buffer; `n = 0` (or a model
-    /// without centroids) leaves it empty. At steady state — a buffer
-    /// whose capacity has reached `k` — the call performs no heap
-    /// allocation; this is the probe-selection step of the allocation-free
-    /// IVF query path.
+    /// [`KMeans::assign_top_n`] into a reused buffer; `n = 0` leaves it
+    /// empty. The answer is the full scan's: the `min(n, k)` pairs
+    /// `(c, vecs::l2_sq(centroid c, x))` that come first by distance
+    /// (`total_cmp`), then by `c`, in that order. The exact screen (see
+    /// the crate doc) decides which distances it needs to compute. At
+    /// steady state — a buffer whose capacity has reached `k` — the call
+    /// performs no heap allocation; this is the probe-selection step of
+    /// the allocation-free IVF query path.
+    ///
+    /// # Panics
+    /// If `x.len()` is not the model's dimension.
     pub fn assign_top_n_into(&self, x: &[f32], n: usize, out: &mut Vec<(usize, f32)>) {
+        self.screened_top_n(x, n, out);
+    }
+
+    /// [`KMeans::assign_top_n_into`], returning how many float distances
+    /// it computed.
+    pub(crate) fn screened_top_n(&self, x: &[f32], n: usize, out: &mut Vec<(usize, f32)>) -> usize {
+        assert_eq!(x.len(), self.dim, "query dimensionality");
         out.clear();
         let n = n.min(self.k);
         if n == 0 {
-            return;
+            return 0;
         }
-        out.extend((0..self.k).map(|c| (c, vecs::l2_sq(self.centroid(c), x))));
-        out.select_nth_unstable_by(n - 1, |a, b| a.1.total_cmp(&b.1));
+        if n < self.k {
+            self.screen.bounds_into(x, out);
+            out.select_nth_unstable_by(n - 1, |a, b| a.1.total_cmp(&b.1));
+        } else {
+            out.extend((0..self.k).map(|c| (c, 0.0)));
+        }
+        // The `n` smallest bounds are measured first, so the `n`-th
+        // distance starts tight.
+        for slot in &mut out[..n] {
+            slot.1 = vecs::l2_sq(self.centroid(slot.0), x);
+        }
+        out[..n].sort_unstable_by(by_distance_then_index);
+        let mut computed = n;
+        for i in n..out.len() {
+            let (c, bound) = out[i];
+            // Written so that a NaN on either side measures the centroid.
+            if bound > out[n - 1].1 {
+                continue;
+            }
+            let candidate = (c, vecs::l2_sq(self.centroid(c), x));
+            computed += 1;
+            if by_distance_then_index(&candidate, &out[n - 1]).is_lt() {
+                let at =
+                    out[..n - 1].partition_point(|e| by_distance_then_index(e, &candidate).is_lt());
+                out.copy_within(at..n - 1, at + 1);
+                out[at] = candidate;
+            }
+        }
         out.truncate(n);
-        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
+        computed
     }
 
     /// Assigns every row of `data` (flat `n × dim`) to its nearest centroid,
@@ -228,17 +450,10 @@ pub fn train(data: &[f32], dim: usize, config: &KMeansConfig) -> KMeans {
     for iter in 0..config.max_iters {
         iterations = iter + 1;
         // Assignment step (threaded over the training sample).
-        let model = KMeans {
-            centroids: centroids.clone(),
-            dim,
-            k,
-            objective: 0.0,
-            iterations: 0,
-        };
         let mut new_objective = 0.0f64;
         if config.threads <= 1 || tn < 1024 {
             for (i, slot) in assignment.iter_mut().enumerate().take(tn) {
-                let (c, d) = model.assign(row(i));
+                let (c, d) = nearest(&centroids, dim, row(i));
                 *slot = c as u32;
                 new_objective += d as f64;
             }
@@ -256,13 +471,13 @@ pub fn train(data: &[f32], dim: usize, config: &KMeansConfig) -> KMeans {
                     let rows = chunk.min(tn - start);
                     let (mine, rest) = remaining.split_at_mut(rows);
                     remaining = rest;
-                    let model_ref = &model;
+                    let centroids = &centroids;
                     let sample_ref = &sample_indices;
                     handles.push(scope.spawn(move || {
                         let mut local = 0.0f64;
                         for (off, slot) in mine.iter_mut().enumerate() {
                             let gi = sample_ref[start + off];
-                            let (c, d) = model_ref.assign(&data[gi * dim..gi * dim + dim]);
+                            let (c, d) = nearest(centroids, dim, &data[gi * dim..gi * dim + dim]);
                             *slot = c as u32;
                             local += d as f64;
                         }
@@ -321,13 +536,7 @@ pub fn train(data: &[f32], dim: usize, config: &KMeansConfig) -> KMeans {
         }
     }
 
-    KMeans {
-        centroids,
-        dim,
-        k,
-        objective,
-        iterations,
-    }
+    KMeans::with_screen(centroids, dim, objective, iterations)
 }
 
 /// k-means++ seeding (Arthur & Vassilvitskii 2007) over the sampled rows.
@@ -449,6 +658,28 @@ mod tests {
         assert!(top.windows(2).all(|w| w[0].1 <= w[1].1));
         assert_eq!(top[0].0, model.assign(x).0);
         assert!(model.assign_top_n(x, 0).is_empty());
+    }
+
+    #[test]
+    fn screen_prunes_the_probe_on_a_sift_like_model() {
+        // The ledger's `engine_d128` segment: 6 000 sift-like rows, 4·√n =
+        // 310 centroids, nprobe 3. Every exactness test would still pass
+        // with a screen that measured every centroid; this one would not.
+        use rabitq_data::registry::PaperDataset;
+        let ds = rabitq_data::generate(&PaperDataset::Sift.spec(6_000, 200, 42));
+        let mut config = KMeansConfig::new(310);
+        config.max_iters = 10;
+        let model = train(&ds.data, ds.dim, &config);
+        assert_eq!(model.k(), 310);
+        let mut probes = Vec::new();
+        let computed: usize = (0..ds.n_queries())
+            .map(|i| model.screened_top_n(ds.query(i), 3, &mut probes))
+            .sum();
+        let per_query = computed as f64 / ds.n_queries() as f64;
+        assert!(
+            per_query <= 10.0,
+            "{per_query:.2} of 310 distances computed per query"
+        );
     }
 
     #[test]

@@ -27,14 +27,23 @@
 //! (downclocking loses end to end), and no hand-written NEON one yet:
 //! aarch64 takes the portable form, which autovectorises.
 //!
-//! All `unsafe` of the float kernels lives in this module.
+//! Two integer kernels ride the same dispatch; they screen the coarse
+//! probe (`rabitq_kmeans`). [`quantise_u7`] maps floats to 7-bit codes
+//! with one `f32` operation per step, in a fixed order. [`l2_sq_u7`]
+//! takes the squared distance from one code vector to each row of a
+//! block; its sums are of integers, so the portable form and the AVX2 one
+//! agree whatever order they add in. `RABITQ_FORCE_KERNEL=scalar` pins both to their portable forms,
+//! with the float kernels.
+//!
+//! All `unsafe` of these kernels lives in this module.
 
 use std::sync::OnceLock;
 
-/// A float-reduction kernel the running CPU can execute.
+/// A reduction kernel the running CPU can execute.
 ///
 /// The field is private and every constructor checks the CPU, so holding a
-/// `Kernel` is the proof [`l2_sq`] and [`dot`] need to run it.
+/// `Kernel` is the proof [`l2_sq`], [`dot`], [`l2_sq_u7`] and
+/// [`quantise_u7`] need to run it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Kernel(Isa);
 
@@ -110,6 +119,83 @@ pub fn dot(kernel: Kernel, a: &[f32], b: &[f32]) -> f32 {
         // SAFETY: as in `l2_sq`, AVX2 was detected when the value was built.
         Isa::Avx2 => unsafe { avx2::dot(a, b) },
     }
+}
+
+/// `sums[r] = Σ (a[i] − rows[r·len + i])²` over 7-bit codes by `kernel`,
+/// for every row of the flat `sums.len() × len` buffer `rows`, where
+/// `len = a.len()`. One call takes a block of rows, so the per-call cost is
+/// paid once per block, not once per row. Every byte must be at most 127;
+/// the sum of larger bytes is unspecified (but memory-safe). A sum wraps
+/// modulo 2³², which it cannot do below 266 305 elements. Every kernel
+/// writes the same sums on every 7-bit input.
+///
+/// # Panics
+/// If `rows.len()` is not `sums.len() · a.len()`.
+#[inline]
+pub fn l2_sq_u7(kernel: Kernel, a: &[u8], rows: &[u8], sums: &mut [u32]) {
+    assert_eq!(
+        rows.len(),
+        sums.len() * a.len(),
+        "l2_sq_u7: rows are not sums.len() × a.len() bytes"
+    );
+    if a.is_empty() {
+        sums.fill(0);
+        return;
+    }
+    match kernel.0 {
+        Isa::Portable => {
+            for (sum, b) in sums.iter_mut().zip(rows.chunks_exact(a.len())) {
+                *sum = a
+                    .iter()
+                    .zip(b)
+                    .map(|(&x, &y)| squared_diff_u7(x, y))
+                    .fold(0u32, u32::wrapping_add);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `l2_sq`, AVX2 was detected when the value was built.
+        Isa::Avx2 => unsafe { avx2::l2_sq_u7(a, rows, sums) },
+    }
+}
+
+/// Quantises `x` onto the 7-bit grid `lo + code / inv_step` by `kernel`:
+/// `code[i]` is `t = (x[i] − lo)·inv_step + 0.5`, raised to 0 (a NaN
+/// too), lowered to 127 and truncated. Each step is one `f32` operation
+/// in that order, so every kernel writes the same codes; no libm call.
+///
+/// # Panics
+/// If the lengths differ.
+#[inline]
+pub fn quantise_u7(kernel: Kernel, x: &[f32], lo: f32, inv_step: f32, code: &mut [u8]) {
+    assert_eq!(x.len(), code.len(), "quantise_u7: vector lengths differ");
+    match kernel.0 {
+        Isa::Portable => {
+            for (q, &v) in code.iter_mut().zip(x) {
+                *q = quantise_one(v, lo, inv_step);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `l2_sq`, AVX2 was detected when the value was built.
+        Isa::Avx2 => unsafe { avx2::quantise_u7(x, lo, inv_step, code) },
+    }
+}
+
+/// One term of `l2_sq_u7`.
+#[inline(always)]
+fn squared_diff_u7(x: u8, y: u8) -> u32 {
+    let d = x.abs_diff(y) as u32;
+    d * d
+}
+
+/// One code of `quantise_u7`. The two clamps select as `maxps` and
+/// `minps` do, so the AVX2 kernel clamps (and sends NaN to 0) the same
+/// way.
+#[inline(always)]
+fn quantise_one(v: f32, lo: f32, inv_step: f32) -> u8 {
+    let t = (v - lo) * inv_step + 0.5;
+    let t = if t > 0.0 { t } else { 0.0 };
+    let t = if t < 127.0 { t } else { 127.0 };
+    t as u8
 }
 
 /// One term of `l2_sq`; shared so both kernels round it the same way.
@@ -216,6 +302,87 @@ mod avx2 {
             sum += term(x, y);
         }
         sum
+    }
+
+    /// The sums of `super::l2_sq_u7`; the caller has checked the shapes
+    /// and that `a` is not empty. `|a − b| ≤ 127` fits the signed operand
+    /// of `maddubs`, whose pair sums (≤ 2·127²) fit an `i16`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn l2_sq_u7(a: &[u8], rows: &[u8], sums: &mut [u32]) {
+        let ones = _mm256_set1_epi16(1);
+        let squares = |x, y| {
+            let d = _mm256_or_si256(_mm256_subs_epu8(x, y), _mm256_subs_epu8(y, x));
+            _mm256_madd_epi16(_mm256_maddubs_epi16(d, d), ones)
+        };
+        let (blocks_a, rest_a) = a.as_chunks::<64>();
+        let (chunks_a, tail_a) = rest_a.as_chunks::<32>();
+        for (sum, b) in sums.iter_mut().zip(rows.chunks_exact(a.len())) {
+            // Two accumulators over 64-byte blocks, then one 32-byte block.
+            let mut acc = [_mm256_setzero_si256(); 2];
+            let (blocks_b, rest_b) = b.as_chunks::<64>();
+            for (xa, xb) in blocks_a.iter().zip(blocks_b) {
+                let (xa, xb) = (xa.as_chunks::<32>().0, xb.as_chunks::<32>().0);
+                for ((acc, xa), xb) in acc.iter_mut().zip(xa).zip(xb) {
+                    *acc = _mm256_add_epi32(*acc, squares(load32(xa), load32(xb)));
+                }
+            }
+            let (chunks_b, tail_b) = rest_b.as_chunks::<32>();
+            for (xa, xb) in chunks_a.iter().zip(chunks_b) {
+                acc[0] = _mm256_add_epi32(acc[0], squares(load32(xa), load32(xb)));
+            }
+            let v = _mm256_add_epi32(acc[0], acc[1]);
+            let w = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
+            let x = _mm_add_epi32(w, _mm_shuffle_epi32(w, 0b01_00_11_10));
+            let x = _mm_add_epi32(x, _mm_shuffle_epi32(x, 0b10_11_00_01));
+            *sum = tail_a
+                .iter()
+                .zip(tail_b)
+                .map(|(&x, &y)| super::squared_diff_u7(x, y))
+                .fold(_mm_cvtsi128_si32(x) as u32, u32::wrapping_add);
+        }
+    }
+
+    /// The codes of `super::quantise_u7`, 32 at a time; the caller has
+    /// checked the lengths are equal. `max_ps(t, 0)` returns 0 for a NaN
+    /// `t`, as the reference's `t > 0.0` test does.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn quantise_u7(x: &[f32], lo: f32, inv_step: f32, code: &mut [u8]) {
+        let (lo8, inv8) = (_mm256_set1_ps(lo), _mm256_set1_ps(inv_step));
+        let (half, zero, top) = (
+            _mm256_set1_ps(0.5),
+            _mm256_setzero_ps(),
+            _mm256_set1_ps(127.0),
+        );
+        // `packs` / `packus` interleave the 128-bit lanes; this puts the
+        // four groups of eight codes back in order.
+        let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        let (blocks_x, tail_x) = x.as_chunks::<32>();
+        let (blocks_q, tail_q) = code.as_chunks_mut::<32>();
+        for (bx, bq) in blocks_x.iter().zip(blocks_q) {
+            let q: [__m256i; 4] = std::array::from_fn(|j| {
+                let v = load8(bx[8 * j..8 * j + 8].try_into().unwrap());
+                let t = _mm256_add_ps(_mm256_mul_ps(_mm256_sub_ps(v, lo8), inv8), half);
+                _mm256_cvttps_epi32(_mm256_min_ps(_mm256_max_ps(t, zero), top))
+            });
+            let bytes = _mm256_packus_epi16(
+                _mm256_packs_epi32(q[0], q[1]),
+                _mm256_packs_epi32(q[2], q[3]),
+            );
+            let bytes = _mm256_permutevar8x32_epi32(bytes, order);
+            // SAFETY: `bq` is 32 writable bytes, exactly what the store
+            // writes, and `storeu` has no alignment requirement.
+            unsafe { _mm256_storeu_si256(bq.as_mut_ptr().cast(), bytes) };
+        }
+        for (q, &v) in tail_q.iter_mut().zip(tail_x) {
+            *q = super::quantise_one(v, lo, inv_step);
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn load32(chunk: &[u8; 32]) -> __m256i {
+        // SAFETY: `chunk` is 32 readable bytes, exactly what the load
+        // reads, and `loadu` has no alignment requirement.
+        unsafe { _mm256_loadu_si256(chunk.as_ptr().cast()) }
     }
 
     #[target_feature(enable = "avx2")]

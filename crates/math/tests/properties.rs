@@ -288,11 +288,106 @@ proptest! {
     }
 }
 
+/// `Σ (a[i] − b[i])²` term by term in `i64`.
+fn integer_l2_sq(a: &[u8], b: &[u8]) -> u32 {
+    let sum: i64 = a
+        .iter()
+        .zip(b)
+        .map(|(&x, &y)| (x as i64 - y as i64).pow(2))
+        .sum();
+    u32::try_from(sum).unwrap()
+}
+
+#[test]
+fn u7_kernels_agree_at_every_length_through_2048() {
+    // Random codes at every length (every 64-byte block, 32-byte block and
+    // tail shape), misaligned by `len % 32` bytes, and the extreme pairs
+    // 0 against 127, whose 127² terms fill `maddubs`' pair sums; each
+    // call takes a block of rows, as the coarse probe's does.
+    let mut rng = proptest::rng_for("u7_lengths", 0);
+    for len in 0..=2048 {
+        let off = len % 32;
+        let codes = |rng: &mut StdRng, n: usize| -> Vec<u8> {
+            (0..off + n).map(|_| rng.gen_range(0u8..=127)).collect()
+        };
+        let a = codes(&mut rng, len);
+        let a = &a[off..];
+        let (zeros, maxes) = (vec![0u8; len], vec![127u8; len]);
+        let random_rows = codes(&mut rng, 3 * len);
+        let cases = [
+            (a, [&random_rows[off..], a].concat()),
+            (&zeros[..], [&maxes[..], &zeros, &maxes].concat()),
+            (&maxes[..], zeros.clone()),
+        ];
+        for (x, rows) in &cases {
+            let n_rows = rows.len().checked_div(len).unwrap_or(2);
+            let rows = &rows[..n_rows * len];
+            let want: Vec<u32> = (0..n_rows)
+                .map(|r| integer_l2_sq(x, &rows[r * len..(r + 1) * len]))
+                .collect();
+            for kernel in simd::supported_kernels() {
+                let mut sums = vec![u32::MAX; n_rows];
+                simd::l2_sq_u7(kernel, x, rows, &mut sums);
+                assert_eq!(sums, want, "{} l2_sq_u7, len {len}", kernel.name());
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "rows are not")]
+fn l2_sq_u7_rejects_rows_of_another_shape() {
+    simd::l2_sq_u7(simd::active_kernel(), &[1; 8], &[1; 20], &mut [0; 2]);
+}
+
+#[test]
+fn quantise_kernels_write_the_portable_codes() {
+    // Grids from the ordinary to the degenerate (no width, overflowing
+    // products), over inputs with zeros, subnormals, huge values, NaN and
+    // both infinities, at every 32-float block and tail shape.
+    let grids = [
+        (-3.0f32, 127.0 / 6.0),
+        (0.0, 0.0),
+        (-1e30, 1e-28),
+        (1.0, 1e30),
+        (f32::MIN_POSITIVE, 1e38),
+    ];
+    let mut rng = proptest::rng_for("quantise_lengths", 0);
+    for len in (0..=160).chain([959, 960, 2048]) {
+        let mut x = awkward_vec(&mut rng, len);
+        for v in x.iter_mut() {
+            if rng.gen_range(0u32..16) == 0 {
+                *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..3)];
+            }
+        }
+        for (lo, inv_step) in grids {
+            let mut want = vec![0u8; len];
+            simd::quantise_u7(Kernel::PORTABLE, &x, lo, inv_step, &mut want);
+            assert!(want.iter().all(|&q| q <= 127), "a code above 127");
+            for (&v, &q) in x.iter().zip(&want).filter(|(v, _)| v.is_nan()) {
+                assert_eq!(q, 0, "{v} must quantise to 0");
+            }
+            for kernel in simd::supported_kernels() {
+                let mut got = vec![0xFFu8; len];
+                simd::quantise_u7(kernel, &x, lo, inv_step, &mut got);
+                assert_eq!(
+                    got,
+                    want,
+                    "{} quantise_u7, len {len}, grid ({lo}, {inv_step})",
+                    kernel.name()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn dispatch_picks_a_supported_kernel_and_honours_the_forced_scalar_pass() {
     let active = simd::active_kernel();
     assert!(simd::supported_kernels().contains(&active));
-    // CI re-runs the workspace under RABITQ_FORCE_KERNEL=scalar.
+    // CI re-runs the workspace under RABITQ_FORCE_KERNEL=scalar; the one
+    // active kernel then runs `l2_sq`, `dot`, `l2_sq_u7` and `quantise_u7`
+    // in their portable forms.
     if std::env::var("RABITQ_FORCE_KERNEL").is_ok_and(|name| name.trim() == "scalar") {
         assert_eq!(active, Kernel::PORTABLE);
     }

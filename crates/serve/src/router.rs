@@ -456,7 +456,8 @@ fn parse_vector(value: &Json, dim: usize) -> Result<Vec<f32>, String> {
         .map(|v| {
             v.as_f64()
                 .map(|f| f as f32)
-                .ok_or_else(|| "vector elements must be numbers".to_string())
+                .filter(|f| f.is_finite())
+                .ok_or_else(|| "vector elements must be finite f32 numbers".to_string())
         })
         .collect()
 }

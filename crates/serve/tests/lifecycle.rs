@@ -56,6 +56,12 @@ fn insert_search_delete_round_trip() {
     );
     assert_eq!(top_id(&found), new_id);
 
+    // 1e39 overflows `f32`: the row is refused as the client's error, and
+    // nothing is inserted.
+    let overflow = request(addr, "POST", "/insert", "{\"vector\":[1.0,1e39,1.0,1.0]}");
+    assert_eq!(overflow.status, 400, "{:?}", overflow.body);
+    assert!(overflow.body.contains("finite"), "{:?}", overflow.body);
+
     // Delete it; the same search no longer returns it.
     let deleted = request(addr, "POST", "/delete", &format!("{{\"id\":{new_id}}}"));
     assert_eq!(deleted.status, 200);

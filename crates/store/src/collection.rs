@@ -659,8 +659,18 @@ impl Collection {
     /// collection flips read-only for later mutations but this row
     /// survives any reopen. An `Err` means the row was *not* acked: it
     /// is either absent after reopen or dropped with the torn WAL tail.
+    ///
+    /// # Panics
+    /// If `vector` is not `dim` long or holds a NaN or an infinity, before
+    /// anything is logged: a non-finite row could never be sealed (k-means
+    /// cannot seed on it), and the WAL would replay it into every later
+    /// seal.
     pub fn insert(&mut self, vector: &[f32]) -> Result<u32, StoreError> {
         assert_eq!(vector.len(), self.config.dim, "vector dimensionality");
+        assert!(
+            vector.iter().all(|v| v.is_finite()),
+            "vector entries must be finite"
+        );
         self.check_writable()?;
         let id = self.next_id;
         let t0 = Instant::now();

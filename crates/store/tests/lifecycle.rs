@@ -55,6 +55,43 @@ fn unsealed_writes_survive_a_crash_with_a_torn_tail() {
 }
 
 #[test]
+fn non_finite_rows_are_refused_before_the_wal() {
+    let dir = tmp_dir("non-finite");
+    let dim = 8;
+    let mut c = Collection::open(&dir, small_config(dim, 1000)).unwrap();
+    for row in gaussian(500, dim, 3).chunks_exact(dim) {
+        c.insert(row).unwrap();
+    }
+    let wal_path = dir.join(WAL_FILE);
+    let logged = std::fs::read(&wal_path).unwrap();
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut row = vec![0.5f32; dim];
+        row[3] = bad;
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.insert(&row).map(|_| ())));
+        assert!(refused.is_err(), "a row holding {bad} was acked");
+        assert_eq!(
+            std::fs::read(&wal_path).unwrap(),
+            logged,
+            "{bad} reached the WAL"
+        );
+        assert_eq!(c.len(), 500);
+    }
+    // A NaN that reached the WAL used to panic every seal, before and
+    // after a reopen (k-means++ seeding on it).
+    c.seal().unwrap();
+    drop(c);
+    let mut c = Collection::open(&dir, small_config(dim, 1000)).unwrap();
+    assert_eq!(c.len(), 500);
+    for row in gaussian(100, dim, 4).chunks_exact(dim) {
+        c.insert(row).unwrap();
+    }
+    c.seal().unwrap();
+    assert_eq!((c.len(), c.n_segments()), (600, 2));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn deletes_survive_crash_and_seal_boundaries() {
     let dir = tmp_dir("deletes");
     let dim = 8;
