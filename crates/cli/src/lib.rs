@@ -277,13 +277,17 @@ fn cmd_ground_truth(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// The quantizer settings `build` and `graph-build` share: the library
-/// defaults, overridden by `--bq`, `--epsilon0`, `--seed`, and `--dense`
-/// (the paper's O(D²) Haar rotation in place of the default Hadamard one).
+/// The quantizer settings `build`, `graph-build` and `ingest` share: the
+/// library defaults, overridden by `--bq`, `--epsilon0`, `--seed`, and
+/// `--dense` (the paper's O(D²) Haar rotation in place of the default
+/// Hadamard one). Settings no quantizer takes are refused here, before
+/// any index or collection file is written.
 fn rabitq_config(flags: &Flags) -> Result<RabitqConfig, String> {
     let defaults = RabitqConfig::default();
-    Ok(RabitqConfig {
-        bq: flags.usize_or("bq", defaults.bq as usize)? as u8,
+    let bq = flags.usize_or("bq", defaults.bq as usize)?;
+    let config = RabitqConfig {
+        // A value past `u8` is out of range, as 0 is.
+        bq: u8::try_from(bq).unwrap_or(0),
         epsilon0: flags.f32_or("epsilon0", defaults.epsilon0)?,
         seed: flags.u64_or("seed", defaults.seed)?,
         rotator: if flags.flag_present("dense") {
@@ -292,7 +296,11 @@ fn rabitq_config(flags: &Flags) -> Result<RabitqConfig, String> {
             defaults.rotator
         },
         padded_dim: None,
-    })
+    };
+    config
+        .validate()
+        .map_err(|e| format!("--bq {bq} --epsilon0 {}: {e}", config.epsilon0))?;
+    Ok(config)
 }
 
 fn cmd_build(flags: &Flags) -> Result<(), String> {
@@ -477,17 +485,9 @@ fn cmd_graph_search(flags: &Flags) -> Result<(), String> {
 fn cmd_ingest(flags: &Flags) -> Result<(), String> {
     let dir = flags.path("dir")?;
     let (data, dim) = read_fvecs_checked(&flags.path("data")?)?;
-    if let Some(at) = data.iter().position(|v| !v.is_finite()) {
-        return Err(format!(
-            "row {} of the data holds a non-finite value; a collection takes finite rows only",
-            at / dim
-        ));
-    }
     let mut config = CollectionConfig::new(dim);
     config.memtable_capacity = flags.usize_or("memtable", 4096)?;
-    config.rabitq.bq = flags.usize_or("bq", 4)? as u8;
-    config.rabitq.epsilon0 = flags.f32_or("epsilon0", 1.9)?;
-    config.rabitq.seed = flags.u64_or("seed", 0x5EED_AB17)?;
+    config.rabitq = rabitq_config(flags)?;
     let mut collection =
         Collection::open(&dir, config).map_err(|e| io_err("opening collection", e))?;
     let n = data.len() / dim;
@@ -822,10 +822,20 @@ fn parse_id_list(spec: &str) -> Result<Vec<u32>, String> {
     Ok(ids)
 }
 
+/// Reads an `.fvecs` file every command takes rows or queries through:
+/// it must hold at least one vector, and only finite values (no index,
+/// collection or search is defined over a NaN or an infinity).
 fn read_fvecs_checked(path: &Path) -> Result<(Vec<f32>, usize), String> {
     let (data, dim) = io::read_fvecs(path).map_err(|e| io_err("reading fvecs", e))?;
     if dim == 0 || data.is_empty() {
         return Err(format!("{} holds no vectors", path.display()));
+    }
+    if let Some(at) = data.iter().position(|v| !v.is_finite()) {
+        return Err(format!(
+            "row {} of {} holds a non-finite value; only finite rows are taken",
+            at / dim,
+            path.display()
+        ));
     }
     Ok((data, dim))
 }
@@ -1510,6 +1520,70 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("row 2") && err.contains("non-finite"), "{err}");
         assert!(!coll.exists(), "the collection was created");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn invalid_quantizer_flags_are_refused_before_any_file_is_written() {
+        let dir = tmp_dir("bad-quantizer");
+        let data = dir.join("base.fvecs");
+        let rows: Vec<f32> = (0..400).map(|i| (i % 37) as f32 * 0.25).collect();
+        io::write_fvecs(&data, &rows, 8).unwrap();
+        let out = dir.join("out");
+        let bad = [
+            ("--bq", "0", "B_q"),
+            ("--bq", "9", "B_q"),
+            ("--bq", "300", "B_q"),
+            ("--epsilon0", "-5", "epsilon0"),
+            ("--epsilon0", "NaN", "epsilon0"),
+            ("--epsilon0", "inf", "epsilon0"),
+        ];
+        for command in ["build", "graph-build", "ingest"] {
+            let target = if command == "ingest" {
+                "--dir"
+            } else {
+                "--out"
+            };
+            for (flag, value, named) in bad {
+                let err = run(&args(&[
+                    command,
+                    "--data",
+                    data.to_str().unwrap(),
+                    target,
+                    out.to_str().unwrap(),
+                    "--memtable",
+                    "20",
+                    flag,
+                    value,
+                ]))
+                .expect_err(&format!("{command} {flag} {value} was accepted"));
+                assert!(err.contains(named), "{command} {flag} {value}: {err}");
+                assert!(!out.exists(), "{command} {flag} {value} wrote {out:?}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_index_builds_refuse_non_finite_rows() {
+        let dir = tmp_dir("non-finite-build");
+        let data = dir.join("bad.fvecs");
+        let mut rows: Vec<f32> = (0..400).map(|i| (i % 37) as f32 * 0.25).collect();
+        rows[21] = f32::NAN;
+        io::write_fvecs(&data, &rows, 8).unwrap();
+        let out = dir.join("index");
+        for command in ["build", "graph-build"] {
+            let err = run(&args(&[
+                command,
+                "--data",
+                data.to_str().unwrap(),
+                "--out",
+                out.to_str().unwrap(),
+            ]))
+            .expect_err(&format!("{command} took a NaN row"));
+            assert!(err.contains("row 2") && err.contains("non-finite"), "{err}");
+            assert!(!out.exists(), "{command} wrote an index");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

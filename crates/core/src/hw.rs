@@ -3,9 +3,9 @@
 
 /// SIMD feature levels detected on this host, in a fixed order.
 ///
-/// The list names the ISA extensions the fastscan kernels care about, not
-/// everything CPUID exposes; an empty list means the host runs the scalar
-/// reference only.
+/// The list names the SIMD extensions a benchmark host record cares
+/// about, not everything CPUID exposes; an empty list means the host runs
+/// the scalar reference only.
 pub fn cpu_features() -> Vec<&'static str> {
     let mut feats = Vec::new();
     #[cfg(target_arch = "x86_64")]
@@ -37,39 +37,28 @@ pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
-/// The fastscan kernel runtime dispatch settles on for this process
-/// (honours `RABITQ_FORCE_KERNEL`).
+/// The name of the kernel `rabitq_math::simd` runs in this process
+/// (`"scalar"` under `RABITQ_FORCE_KERNEL=scalar`).
 pub fn active_kernel() -> &'static str {
-    crate::fastscan::raw::active_kernel().name()
-}
-
-/// The float `l2_sq` / `dot` kernel of `rabitq_math::simd` this process
-/// runs: `"avx2"`, or `"portable"` (also under `RABITQ_FORCE_KERNEL=scalar`).
-pub fn active_distance_kernel() -> &'static str {
     rabitq_math::simd::active_kernel().name()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fastscan::raw;
+    use rabitq_math::simd;
 
     #[test]
     fn features_are_consistent_with_kernel_dispatch() {
         let feats = cpu_features();
-        for k in raw::supported_kernels() {
-            match k {
-                raw::Kernel::Scalar => {}
-                raw::Kernel::Avx2 => assert!(feats.contains(&"avx2")),
-                raw::Kernel::Avx512 => {
-                    assert!(feats.contains(&"avx512f") && feats.contains(&"avx512bw"))
-                }
-                raw::Kernel::Neon => assert!(feats.contains(&"neon")),
-            }
+        for k in simd::supported_kernels() {
+            assert!(
+                k.name() == "scalar" || feats.contains(&k.name()),
+                "{} runs without its feature",
+                k.name()
+            );
         }
         assert!(cores() >= 1);
-        assert!(!active_kernel().is_empty());
-        let distance = active_distance_kernel();
-        assert!(distance == "portable" || feats.contains(&distance));
+        assert_eq!(active_kernel(), simd::active_kernel().name());
     }
 }

@@ -18,7 +18,7 @@
 //! | [`code`] | 3.1.3 | bit-string codes + precomputed factors |
 //! | [`query`] | 3.3.1 | randomized `B_q`-bit query quantization |
 //! | [`kernels`] | 3.3.2 | single-code bitwise AND+popcount kernel |
-//! | [`fastscan`] | 3.3.2 | 32-code batch kernel (scalar/AVX2/AVX-512/NEON) |
+//! | [`fastscan`] | 3.3.2 | 32-code batch layout; its scan kernels live in `rabitq_math::simd` |
 //! | [`estimator`] | 3.2 | unbiased estimator + confidence bounds |
 //! | [`quantizer`] | 3.4 | the [`Rabitq`] orchestrator (Algorithms 1–2) |
 //! | [`similarity`] | 7 (footnote 8) | inner-product & cosine estimation |
@@ -38,7 +38,7 @@ pub mod similarity;
 
 pub use code::{CodeFactors, CodeSet};
 pub use estimator::DistanceEstimate;
-pub use fastscan::{BlockScanner, Kernel, Lut, PackedCodes};
+pub use fastscan::{BlockScanner, Lut, PackedCodes};
 pub use quantizer::{QueryScratch, Rabitq, RabitqConfig};
 pub use query::QuantizedQuery;
 pub use rotation::{default_padded_dim, Rotator, RotatorKind};

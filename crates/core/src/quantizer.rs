@@ -67,6 +67,22 @@ impl Default for RabitqConfig {
     }
 }
 
+impl RabitqConfig {
+    /// Checks the settings no quantizer can run with: a `B_q` outside
+    /// `1..=8`, or an `ε₀` that is not a finite number ≥ 0. Every place a
+    /// configuration enters — flags, a fresh collection, a decoded file —
+    /// asks this one check.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if !(1..=8).contains(&self.bq) {
+            return Err("B_q must be in 1..=8");
+        }
+        if !(self.epsilon0.is_finite() && self.epsilon0 >= 0.0) {
+            return Err("epsilon0 must be a finite number >= 0");
+        }
+        Ok(())
+    }
+}
+
 /// A RaBitQ quantizer for vectors of one dimensionality, sharing one
 /// sampled rotation across all encoded vectors and queries.
 #[derive(Clone, Debug)]
@@ -350,9 +366,6 @@ impl Rabitq {
         use crate::persist as p;
         let dim = p::read_usize(r)?;
         let bq = p::read_u8(r)?;
-        if !(1..=8).contains(&bq) {
-            return Err(p::invalid("B_q out of range"));
-        }
         let epsilon0 = p::read_f32(r)?;
         let seed = p::read_u64(r)?;
         let rotator = Rotator::read(r)?;
@@ -366,6 +379,7 @@ impl Rabitq {
             rotator: rotator.kind(),
             padded_dim: Some(rotator.padded_dim()),
         };
+        config.validate().map_err(p::invalid)?;
         Ok(Self {
             rotator,
             dim,

@@ -405,8 +405,9 @@ impl KMeans {
 /// Trains a KMeans model over `data` (flat `n × dim` row-major).
 ///
 /// # Panics
-/// Panics if `data` is empty, `dim == 0`, `k == 0`, or `data.len()` is not a
-/// multiple of `dim`.
+/// Panics if `data` is empty, `dim == 0`, `k == 0`, `data.len()` is not a
+/// multiple of `dim`, or a row holds a NaN or an infinity (naming the
+/// first such row: no seeding or centroid is defined over it).
 pub fn train(data: &[f32], dim: usize, config: &KMeansConfig) -> KMeans {
     assert!(dim > 0, "dim must be positive");
     assert!(config.k > 0, "k must be positive");
@@ -417,6 +418,12 @@ pub fn train(data: &[f32], dim: usize, config: &KMeansConfig) -> KMeans {
     );
     let n = data.len() / dim;
     assert!(n > 0, "cannot train on an empty dataset");
+    if let Some(at) = data.iter().position(|v| !v.is_finite()) {
+        panic!(
+            "row {} holds a non-finite value; k-means trains on finite rows only",
+            at / dim
+        );
+    }
 
     let mut rng = StdRng::seed_from_u64(config.seed);
 
@@ -741,5 +748,13 @@ mod tests {
         let m1 = train(&data, dim, &KMeansConfig::new(1));
         let m3 = train(&data, dim, &KMeansConfig::new(3));
         assert!(m3.objective < m1.objective);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 77 holds a non-finite value")]
+    fn non_finite_rows_are_refused_by_name() {
+        let (mut data, dim) = blobs();
+        data[77 * dim + 1] = f32::NAN;
+        train(&data, dim, &KMeansConfig::new(3));
     }
 }

@@ -1,7 +1,9 @@
 //! Dense linear-algebra and numeric substrate for the RaBitQ reproduction.
 //!
 //! This crate deliberately implements everything the rest of the workspace
-//! needs from first principles — vector kernels, a small row-major matrix
+//! needs from first principles — vector kernels (with every SIMD kernel of
+//! the workspace, fast scan included, under one dispatch in [`simd`]), a
+//! small row-major matrix
 //! type, orthogonalization, polar decomposition (for the OPQ Procrustes
 //! step), the fast Walsh–Hadamard transform, Gaussian sampling and the
 //! special functions used by the paper's closed-form expectations — so that

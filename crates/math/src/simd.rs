@@ -1,12 +1,12 @@
-//! The float reduction kernels under [`crate::vecs::l2_sq`] and
-//! [`crate::vecs::dot`]: one **canonical reduction order**, computed by a
-//! portable reference and by an AVX2 kernel that are `to_bits()`-equal on
-//! every input.
+//! Every SIMD kernel of the workspace, under one dispatch: the float
+//! reductions under [`crate::vecs::l2_sq`] and [`crate::vecs::dot`], the
+//! coarse-probe screen's 7-bit integer kernels, and the fast-scan nibble
+//! scan of `rabitq-core` and the PQ baseline. Each has a portable
+//! reference and SIMD forms that write the same bits on every input.
 //!
-//! A float sum depends on its order, so — unlike the integer fastscan
-//! kernels of `rabitq-core`, which agree across ISAs because they add the
-//! same integers — these kernels agree only because every one of them
-//! performs the same additions in the same order:
+//! A float sum depends on its order, so the float kernels agree only
+//! because every one of them performs the same additions in the same
+//! order:
 //!
 //! 1. 32 virtual lanes, all starting at `+0.0`. Element `i` of each whole
 //!    32-block adds its term (`(a−b)²` or `a·b`) to lane `i`. In the AVX2
@@ -20,50 +20,57 @@
 //! Multiply and add stay separate instructions — no FMA — so a host
 //! without FMA rounds exactly as one with it.
 //!
-//! The kernel is chosen once per process ([`active_kernel`]): AVX2 when the
-//! CPU has it, else the portable form; `RABITQ_FORCE_KERNEL=scalar` (the
-//! variable that pins the fastscan kernels) pins the portable form. There
-//! is no 512-bit kernel, for the reason the fastscan dispatch prefers AVX2
-//! (downclocking loses end to end), and no hand-written NEON one yet:
-//! aarch64 takes the portable form, which autovectorises.
+//! The integer kernels agree whatever order they add in, because they sum
+//! integers. [`quantise_u7`] maps floats to 7-bit codes with one `f32`
+//! operation per step, in a fixed order; [`l2_sq_u7`] takes the squared
+//! distance from one code vector to each row of a block (both screen the
+//! coarse probe in `rabitq_kmeans`). [`scan_nibbles`] is the fast scan of
+//! the paper's batch estimator (Section 3.3.2): a byte shuffle gathers
+//! 16-entry `u8` tables for 32 codes at once. Its SIMD forms sum in `u16`,
+//! so it runs them over at most 256 segments per pass and adds the passes
+//! in `u32`; no LUT can wrap a sum.
 //!
-//! Two integer kernels ride the same dispatch; they screen the coarse
-//! probe (`rabitq_kmeans`). [`quantise_u7`] maps floats to 7-bit codes
-//! with one `f32` operation per step, in a fixed order. [`l2_sq_u7`]
-//! takes the squared distance from one code vector to each row of a
-//! block; its sums are of integers, so the portable form and the AVX2 one
-//! agree whatever order they add in. `RABITQ_FORCE_KERNEL=scalar` pins both to their portable forms,
-//! with the float kernels.
+//! The kernel is chosen once per process ([`active_kernel`]): AVX2 on an
+//! x86-64 CPU that has it, NEON on aarch64, else the portable form.
+//! `RABITQ_FORCE_KERNEL=scalar` pins the portable form, and is the only
+//! value the variable takes. NEON has only the nibble scan; the float
+//! and screen kernels run portable under it, and autovectorise. There is
+//! no 512-bit kernel: on the measured hosts each 512-bit burst
+//! downclocked the surrounding scalar work, and AVX2 won end to end.
 //!
-//! All `unsafe` of these kernels lives in this module.
+//! Every `unsafe` of the workspace's SIMD code lives in this module.
 
 use std::sync::OnceLock;
 
-/// A reduction kernel the running CPU can execute.
+/// A kernel the running CPU can execute.
 ///
 /// The field is private and every constructor checks the CPU, so holding a
-/// `Kernel` is the proof [`l2_sq`], [`dot`], [`l2_sq_u7`] and
-/// [`quantise_u7`] need to run it.
+/// `Kernel` is the proof [`l2_sq`], [`dot`], [`l2_sq_u7`], [`quantise_u7`]
+/// and [`scan_nibbles`] need to run it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Kernel(Isa);
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Isa {
-    Portable,
+    Scalar,
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    #[cfg(target_arch = "aarch64")]
+    Neon,
 }
 
 impl Kernel {
     /// The portable reference; runs everywhere and defines the result.
-    pub const PORTABLE: Kernel = Kernel(Isa::Portable);
+    pub const SCALAR: Kernel = Kernel(Isa::Scalar);
 
-    /// `"portable"` or `"avx2"`.
+    /// `"scalar"`, `"avx2"` or `"neon"`.
     pub fn name(self) -> &'static str {
         match self.0 {
-            Isa::Portable => "portable",
+            Isa::Scalar => "scalar",
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "aarch64")]
+            Isa::Neon => "neon",
         }
     }
 }
@@ -73,22 +80,29 @@ impl Kernel {
 pub fn supported_kernels() -> Vec<Kernel> {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        return vec![Kernel::PORTABLE, Kernel(Isa::Avx2)];
+        return vec![Kernel::SCALAR, Kernel(Isa::Avx2)];
     }
-    vec![Kernel::PORTABLE]
+    #[cfg(target_arch = "aarch64")]
+    if std::arch::is_aarch64_feature_detected!("neon") {
+        return vec![Kernel::SCALAR, Kernel(Isa::Neon)];
+    }
+    vec![Kernel::SCALAR]
 }
 
 /// The process-wide kernel, resolved once on first use: the portable
 /// reference under `RABITQ_FORCE_KERNEL=scalar`, else the last of
-/// [`supported_kernels`]. Any other value of the variable names a fastscan
-/// kernel (validated by `rabitq_core::fastscan`) and leaves this choice
-/// automatic.
+/// [`supported_kernels`].
+///
+/// # Panics
+/// If `RABITQ_FORCE_KERNEL` holds any other value: a pin that silently
+/// fell back would defeat the forced test pass it exists for.
 #[inline]
 pub fn active_kernel() -> Kernel {
     static ACTIVE: OnceLock<Kernel> = OnceLock::new();
-    *ACTIVE.get_or_init(|| match std::env::var("RABITQ_FORCE_KERNEL") {
-        Ok(name) if name.trim() == "scalar" => Kernel::PORTABLE,
-        _ => supported_kernels().pop().unwrap_or(Kernel::PORTABLE),
+    *ACTIVE.get_or_init(|| match std::env::var_os("RABITQ_FORCE_KERNEL") {
+        None => supported_kernels().pop().unwrap_or(Kernel::SCALAR),
+        Some(name) if name.to_str().map(str::trim) == Some("scalar") => Kernel::SCALAR,
+        Some(name) => panic!("RABITQ_FORCE_KERNEL={name:?}: the only accepted value is `scalar`"),
     })
 }
 
@@ -99,11 +113,11 @@ pub fn active_kernel() -> Kernel {
 pub fn l2_sq(kernel: Kernel, a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "l2_sq: vector lengths differ");
     match kernel.0 {
-        Isa::Portable => portable(a, b, squared_diff),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: an `Isa::Avx2` value is only built by `supported_kernels`,
         // after `is_x86_feature_detected!("avx2")`.
         Isa::Avx2 => unsafe { avx2::l2_sq(a, b) },
+        _ => portable(a, b, squared_diff),
     }
 }
 
@@ -114,10 +128,10 @@ pub fn l2_sq(kernel: Kernel, a: &[f32], b: &[f32]) -> f32 {
 pub fn dot(kernel: Kernel, a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot: vector lengths differ");
     match kernel.0 {
-        Isa::Portable => portable(a, b, |x, y| x * y),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `l2_sq`, AVX2 was detected when the value was built.
         Isa::Avx2 => unsafe { avx2::dot(a, b) },
+        _ => portable(a, b, |x, y| x * y),
     }
 }
 
@@ -143,7 +157,10 @@ pub fn l2_sq_u7(kernel: Kernel, a: &[u8], rows: &[u8], sums: &mut [u32]) {
         return;
     }
     match kernel.0 {
-        Isa::Portable => {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `l2_sq`, AVX2 was detected when the value was built.
+        Isa::Avx2 => unsafe { avx2::l2_sq_u7(a, rows, sums) },
+        _ => {
             for (sum, b) in sums.iter_mut().zip(rows.chunks_exact(a.len())) {
                 *sum = a
                     .iter()
@@ -152,9 +169,6 @@ pub fn l2_sq_u7(kernel: Kernel, a: &[u8], rows: &[u8], sums: &mut [u32]) {
                     .fold(0u32, u32::wrapping_add);
             }
         }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `l2_sq`, AVX2 was detected when the value was built.
-        Isa::Avx2 => unsafe { avx2::l2_sq_u7(a, rows, sums) },
     }
 }
 
@@ -169,14 +183,96 @@ pub fn l2_sq_u7(kernel: Kernel, a: &[u8], rows: &[u8], sums: &mut [u32]) {
 pub fn quantise_u7(kernel: Kernel, x: &[f32], lo: f32, inv_step: f32, code: &mut [u8]) {
     assert_eq!(x.len(), code.len(), "quantise_u7: vector lengths differ");
     match kernel.0 {
-        Isa::Portable => {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `l2_sq`, AVX2 was detected when the value was built.
+        Isa::Avx2 => unsafe { avx2::quantise_u7(x, lo, inv_step, code) },
+        _ => {
             for (q, &v) in code.iter_mut().zip(x) {
                 *q = quantise_one(v, lo, inv_step);
             }
         }
+    }
+}
+
+/// Codes in one packed fast-scan block.
+pub const NIBBLE_BLOCK: usize = 32;
+
+/// Segments one SIMD pass of [`scan_nibbles`] sums in `u16`:
+/// `256 · 255 = 65 280` fits, whatever the table entries.
+const NIBBLE_PASS: usize = 256;
+
+/// The fast scan of one packed block of 32 codes by `kernel`:
+/// `out[j] = Σ_s lut[16s + c_j(s)]`, where `c_j(s)` is code `j`'s 4-bit
+/// value at segment `s`.
+///
+/// Both slices hold 16 bytes per segment. In `block`, byte `i` of segment
+/// `s` packs `c_i(s)` in its low nibble and `c_{16+i}(s)` in its high one;
+/// in `lut`, the 16 bytes of segment `s` are its table. Every kernel
+/// writes the same sums for every input, at every segment count.
+///
+/// # Panics
+/// If the slices differ in length or are not whole segments.
+#[inline]
+pub fn scan_nibbles(kernel: Kernel, block: &[u8], lut: &[u8], out: &mut [u32; NIBBLE_BLOCK]) {
+    assert!(
+        block.len() == lut.len() && lut.len().is_multiple_of(16),
+        "scan_nibbles: block and LUT are not the same whole segments"
+    );
+    match kernel.0 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `l2_sq`, AVX2 was detected when the value was built.
-        Isa::Avx2 => unsafe { avx2::quantise_u7(x, lo, inv_step, code) },
+        Isa::Avx2 => in_passes(block, lut, out, |b, l, o| unsafe {
+            avx2::scan_nibbles(b, l, o)
+        }),
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: an `Isa::Neon` value is only built by `supported_kernels`,
+        // after `is_aarch64_feature_detected!("neon")`.
+        Isa::Neon => in_passes(block, lut, out, |b, l, o| unsafe {
+            neon::scan_nibbles(b, l, o)
+        }),
+        Isa::Scalar => {
+            out.fill(0);
+            add_nibbles(block, lut, out);
+        }
+    }
+}
+
+/// Runs `pass` over runs of at most [`NIBBLE_PASS`] segments and sums the
+/// runs into `out`: one call when the block fits one pass.
+#[inline(always)]
+fn in_passes(
+    block: &[u8],
+    lut: &[u8],
+    out: &mut [u32; NIBBLE_BLOCK],
+    pass: impl Fn(&[u8], &[u8], &mut [u32; NIBBLE_BLOCK]),
+) {
+    const BYTES: usize = NIBBLE_PASS * 16;
+    if lut.len() <= BYTES {
+        return pass(block, lut, out);
+    }
+    out.fill(0);
+    let mut part = [0u32; NIBBLE_BLOCK];
+    for (b, l) in block.chunks(BYTES).zip(lut.chunks(BYTES)) {
+        pass(b, l, &mut part);
+        for (o, p) in out.iter_mut().zip(part) {
+            *o += p;
+        }
+    }
+}
+
+/// Adds every segment's table entries into `out`, one code at a time.
+#[inline]
+fn add_nibbles(block: &[u8], lut: &[u8], out: &mut [u32; NIBBLE_BLOCK]) {
+    for (codes, table) in block
+        .as_chunks::<16>()
+        .0
+        .iter()
+        .zip(lut.as_chunks::<16>().0)
+    {
+        for (j, &byte) in codes.iter().enumerate() {
+            out[j] += table[(byte & 0x0F) as usize] as u32;
+            out[j + 16] += table[(byte >> 4) as usize] as u32;
+        }
     }
 }
 
@@ -247,8 +343,9 @@ fn fold(lanes: &[f32; 32]) -> f32 {
     x[0] + x[1]
 }
 
-/// The same order in 256-bit registers: lanes `8j..8j + 8` of the reference
-/// are accumulator `j`.
+/// The AVX2 kernels. The float reductions keep the reference's order in
+/// 256-bit registers: lanes `8j..8j + 8` of the reference are accumulator
+/// `j`.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
@@ -378,6 +475,47 @@ mod avx2 {
         }
     }
 
+    /// The sums of `super::scan_nibbles`, two segments per step; the
+    /// caller has checked the shapes and keeps a block to 256 segments.
+    /// A 32-byte load covers segments `2p` and `2p + 1`, one per 128-bit
+    /// lane, and `shuffle_epi8` gathers both tables lane-wise. The bytes
+    /// widen into four `u16 × 16` accumulators (codes 0–7, 8–15, 16–23,
+    /// 24–31; even segments in lane 0, odd in lane 1), whose lanes add at
+    /// the end. No partial can wrap: a whole sum is at most 256 · 255.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn scan_nibbles(block: &[u8], lut: &[u8], out: &mut [u32; 32]) {
+        let low_mask = _mm256_set1_epi8(0x0F);
+        let zero = _mm256_setzero_si256();
+        let mut acc = [zero; 4];
+        let (pairs_b, tail_b) = block.as_chunks::<32>();
+        let (pairs_l, tail_l) = lut.as_chunks::<32>();
+        for (codes, table) in pairs_b.iter().zip(pairs_l) {
+            let (codes, table) = (load32(codes), load32(table));
+            let lo = _mm256_shuffle_epi8(table, _mm256_and_si256(codes, low_mask));
+            let hi = _mm256_shuffle_epi8(
+                table,
+                _mm256_and_si256(_mm256_srli_epi16(codes, 4), low_mask),
+            );
+            acc[0] = _mm256_add_epi16(acc[0], _mm256_unpacklo_epi8(lo, zero));
+            acc[1] = _mm256_add_epi16(acc[1], _mm256_unpackhi_epi8(lo, zero));
+            acc[2] = _mm256_add_epi16(acc[2], _mm256_unpacklo_epi8(hi, zero));
+            acc[3] = _mm256_add_epi16(acc[3], _mm256_unpackhi_epi8(hi, zero));
+        }
+        for (eight, acc) in out.as_chunks_mut::<8>().0.iter_mut().zip(acc) {
+            let sum = _mm_add_epi16(
+                _mm256_castsi256_si128(acc),
+                _mm256_extracti128_si256(acc, 1),
+            );
+            // SAFETY: `eight` is 8 writable `u32`s, exactly what the store
+            // writes, and `storeu` has no alignment requirement.
+            unsafe { _mm256_storeu_si256(eight.as_mut_ptr().cast(), _mm256_cvtepu16_epi32(sum)) };
+        }
+        // An odd segment count leaves one segment.
+        if !tail_b.is_empty() {
+            super::add_nibbles(tail_b, tail_l, out);
+        }
+    }
+
     #[target_feature(enable = "avx2")]
     fn load32(chunk: &[u8; 32]) -> __m256i {
         // SAFETY: `chunk` is 32 readable bytes, exactly what the load
@@ -390,5 +528,47 @@ mod avx2 {
         // SAFETY: `chunk` is 8 readable `f32`s, exactly what the load
         // reads, and `loadu` has no alignment requirement.
         unsafe { _mm256_loadu_ps(chunk.as_ptr()) }
+    }
+}
+
+/// The nibble scan on aarch64; the other kernels run portable there.
+#[cfg(target_arch = "aarch64")]
+mod neon {
+    use std::arch::aarch64::*;
+
+    /// The sums of `super::scan_nibbles`, one segment per step; the caller
+    /// has checked the shapes and keeps a block to 256 segments. Two
+    /// `vqtbl1q_u8` lookups gather the low and high nibbles' entries
+    /// (codes 0–15 and 16–31), and widening adds sum them into four
+    /// `u16 × 8` accumulators, which cannot wrap below 257 segments.
+    #[target_feature(enable = "neon")]
+    pub(super) fn scan_nibbles(block: &[u8], lut: &[u8], out: &mut [u32; 32]) {
+        let low_mask = vdupq_n_u8(0x0F);
+        let mut acc = [vdupq_n_u16(0); 4];
+        for (codes, table) in block
+            .as_chunks::<16>()
+            .0
+            .iter()
+            .zip(lut.as_chunks::<16>().0)
+        {
+            // SAFETY: each is 16 readable bytes, exactly what `vld1q_u8`
+            // reads, and the load has no alignment requirement.
+            let (codes, table) = unsafe { (vld1q_u8(codes.as_ptr()), vld1q_u8(table.as_ptr())) };
+            let lo = vqtbl1q_u8(table, vandq_u8(codes, low_mask));
+            let hi = vqtbl1q_u8(table, vshrq_n_u8::<4>(codes));
+            acc[0] = vaddw_u8(acc[0], vget_low_u8(lo));
+            acc[1] = vaddw_high_u8(acc[1], lo);
+            acc[2] = vaddw_u8(acc[2], vget_low_u8(hi));
+            acc[3] = vaddw_high_u8(acc[3], hi);
+        }
+        for (eight, acc) in out.as_chunks_mut::<8>().0.iter_mut().zip(acc) {
+            let (low, high) = eight.split_at_mut(4);
+            // SAFETY: `low` and `high` are 4 writable `u32`s each, exactly
+            // what each `vst1q_u32` writes.
+            unsafe {
+                vst1q_u32(low.as_mut_ptr(), vmovl_u16(vget_low_u16(acc)));
+                vst1q_u32(high.as_mut_ptr(), vmovl_high_u16(acc));
+            }
+        }
     }
 }

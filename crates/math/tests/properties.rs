@@ -362,7 +362,7 @@ fn quantise_kernels_write_the_portable_codes() {
         }
         for (lo, inv_step) in grids {
             let mut want = vec![0u8; len];
-            simd::quantise_u7(Kernel::PORTABLE, &x, lo, inv_step, &mut want);
+            simd::quantise_u7(Kernel::SCALAR, &x, lo, inv_step, &mut want);
             assert!(want.iter().all(|&q| q <= 127), "a code above 127");
             for (&v, &q) in x.iter().zip(&want).filter(|(v, _)| v.is_nan()) {
                 assert_eq!(q, 0, "{v} must quantise to 0");
@@ -384,12 +384,17 @@ fn quantise_kernels_write_the_portable_codes() {
 #[test]
 fn dispatch_picks_a_supported_kernel_and_honours_the_forced_scalar_pass() {
     let active = simd::active_kernel();
-    assert!(simd::supported_kernels().contains(&active));
+    let supported = simd::supported_kernels();
+    assert!(supported.contains(&active));
+    assert_eq!(supported[0], Kernel::SCALAR);
     // CI re-runs the workspace under RABITQ_FORCE_KERNEL=scalar; the one
-    // active kernel then runs `l2_sq`, `dot`, `l2_sq_u7` and `quantise_u7`
-    // in their portable forms.
-    if std::env::var("RABITQ_FORCE_KERNEL").is_ok_and(|name| name.trim() == "scalar") {
-        assert_eq!(active, Kernel::PORTABLE);
+    // active kernel then runs every kernel of the module in its portable
+    // form. Unforced, the dispatch takes the most capable kernel.
+    if std::env::var("RABITQ_FORCE_KERNEL").is_ok() {
+        assert_eq!(active, Kernel::SCALAR);
+        assert_eq!(active.name(), "scalar");
+    } else {
+        assert_eq!(Some(&active), supported.last());
     }
 }
 

@@ -1,6 +1,6 @@
 //! PQ fast scan (`PQx4fs`): the SIMD batch kernel of André et al.
-//! (VLDB'15 / ICMR'17), reusing the packed-nibble layout and byte-shuffle
-//! scan primitives from `rabitq-core`.
+//! (VLDB'15 / ICMR'17), reusing the packed-nibble layout of `rabitq-core`
+//! and the nibble scan of `rabitq_math::simd`, as RaBitQ's fast scan does.
 //!
 //! The distance LUTs hold *floating-point* squared distances, so to fit 16
 //! entries in a shuffle register they must be quantized to `u8`:
@@ -21,8 +21,8 @@
 //! integers.
 
 use crate::pq::{PqCodes, ProductQuantizer};
-use rabitq_core::fastscan::raw;
-use rabitq_core::fastscan::BLOCK;
+use rabitq_core::fastscan::{pack_nibbles, BLOCK};
+use rabitq_math::simd;
 
 /// PQ codes re-packed for the fast-scan kernel (requires `k = 4`).
 #[derive(Clone, Debug)]
@@ -44,7 +44,7 @@ impl PqPacked {
             "fast scan requires 4-bit codes"
         );
         let n = codes.len();
-        let blocks = raw::pack_nibbles(n, codes.m, |i, s| codes.code(i)[s]);
+        let blocks = pack_nibbles(n, codes.m, |i, s| codes.code(i)[s]);
         Self {
             m: codes.m,
             n,
@@ -78,17 +78,12 @@ impl PqPacked {
         // re-zeroed first (mirrors `rabitq_core::PackedCodes::scan_all`).
         out.resize(self.n, 0.0);
         let mut buf = [0u32; BLOCK];
-        // Resolve the SIMD kernel once for the whole scan, not per block.
-        // PQ LUT entries span the full u8 range, so max_entry is 255 (the
-        // selector demotes to scalar if m·255 could overflow the u16
-        // accumulators of the wide kernels).
-        let scan = raw::select_scan_u8(self.m, 255);
+        // Resolve the kernel once for the whole scan, not per block.
+        let kernel = simd::active_kernel();
         for b in 0..self.n_blocks() {
             let base = b * self.m * 16;
             let block = &self.blocks[base..base + self.m * 16];
-            // SAFETY: `select_scan_u8` only returns kernels whose ISA
-            // requirements were verified by runtime feature detection.
-            unsafe { scan(block, &luts.entries, self.m, &mut buf) };
+            simd::scan_nibbles(kernel, block, &luts.entries, &mut buf);
             let start = b * BLOCK;
             let take = BLOCK.min(self.n - start);
             for (slot, &acc) in out[start..start + take].iter_mut().zip(buf.iter()) {
@@ -161,7 +156,7 @@ mod tests {
     use rabitq_math::rng::standard_normal_vec;
     use rabitq_math::vecs;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn gaussian_data(n: usize, dim: usize, seed: u64) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -260,6 +255,32 @@ mod tests {
         packed.scan_all(&qluts, &mut est);
         assert_eq!(est.len(), 37);
         assert!(est.iter().all(|d| d.is_finite()));
+    }
+
+    #[test]
+    fn long_codes_scan_to_the_scalar_sums_past_the_u16_range() {
+        // 300 segments of full-range entries: a block's sums exceed u16,
+        // so the SIMD kernels run in passes and must still add exactly.
+        let (m, n) = (300, 45);
+        let mut rng = StdRng::seed_from_u64(10);
+        let codes = PqCodes {
+            m,
+            codes: (0..n * m).map(|_| rng.gen_range(0..16)).collect(),
+        };
+        let luts: Vec<f32> = (0..m * 16).map(|_| rng.gen_range(0.0..100.0)).collect();
+        let mut qluts = QuantizedLuts::from_f32_luts(&luts, m, 16);
+        qluts.entries[..16 * 290].fill(255);
+        let packed = PqPacked::pack(&codes);
+        let mut est = Vec::new();
+        packed.scan_all(&qluts, &mut est);
+        assert_eq!(est.len(), n);
+        for (i, &e) in est.iter().enumerate() {
+            let sum: u32 = (0..m)
+                .map(|s| qluts.entries[s * 16 + codes.code(i)[s] as usize] as u32)
+                .sum();
+            assert!(sum > u16::MAX as u32, "code {i}: sum {sum} fits u16");
+            assert_eq!(e, qluts.bias + qluts.scale * sum as f32, "code {i}");
+        }
     }
 
     #[test]

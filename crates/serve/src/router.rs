@@ -2,7 +2,7 @@
 //!
 //! | Route | Method | Body | Response |
 //! |---|---|---|---|
-//! | `/healthz` | GET | — | `{"status":"ok"|"degraded"|"draining","read_only":…,"degraded":…,"draining":…,"uptime_ms":…,"version":…,"kernel":…,"distance_kernel":…}` |
+//! | `/healthz` | GET | — | `{"status":"ok"|"degraded"|"draining","read_only":…,"degraded":…,"draining":…,"uptime_ms":…,"version":…,"kernel":…}` |
 //! | `/stats` | GET | — | `{"uptime_ms","metrics":{"requests","shed_overload","mean_batch_size"},"collections":{name:{"dim","rotator","code_bits","degraded","read_only","quarantined_segments","events"}}}` |
 //! | `/metrics` | GET | — | every count and duration, as Prometheus text (`text/plain; version=0.0.4`) |
 //! | `/collections/:name/search` | POST | `{"vector":[…], "k"?, "nprobe"?, "timeout_ms"?}` | `{"neighbors":[{"id","distance"}…],…}`; `?debug=timings` adds `timings_us` |
@@ -105,8 +105,7 @@ fn healthz(state: &ServerState) -> Response {
         "draining" => draining,
         "uptime_ms" => state.started.elapsed().as_millis() as u64,
         "version" => env!("CARGO_PKG_VERSION"),
-        "kernel" => hw::active_kernel(),
-        "distance_kernel" => hw::active_distance_kernel()
+        "kernel" => hw::active_kernel()
     };
     Response::json(200, body.encode())
 }
@@ -396,10 +395,9 @@ fn metrics_text(state: &ServerState) -> Response {
     let cores = hw::cores().to_string();
     enc.info(
         "rabitq_kernel_info",
-        "Active fastscan and float-distance kernels, detected CPU features.",
+        "Active SIMD kernel, detected CPU features.",
         &[
             ("kernel", hw::active_kernel()),
-            ("distance_kernel", hw::active_distance_kernel()),
             ("cpu_features", &features),
             ("cores", &cores),
         ],

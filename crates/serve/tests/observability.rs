@@ -67,8 +67,7 @@ fn metrics_scrape_under_live_traffic_is_valid_exposition_text() {
         "rabitq_collection_live_vectors{collection=\"test\"}",
         "rabitq_events_recorded_total{collection=\"test\"}",
         "rabitq_build_info{version=\"",
-        "rabitq_kernel_info{",
-        "distance_kernel=\"",
+        "rabitq_kernel_info{kernel=\"",
     ] {
         assert!(scrape.body.contains(needle), "missing {needle:?}");
     }
@@ -235,13 +234,13 @@ fn healthz_reports_uptime_version_and_kernel() {
     );
     let kernel = body.get("kernel").and_then(Json::as_str).unwrap();
     assert!(
-        ["scalar", "avx2", "avx512", "neon"].contains(&kernel),
+        ["scalar", "avx2", "neon"].contains(&kernel),
         "unexpected kernel {kernel:?}"
     );
-    let distance_kernel = body.get("distance_kernel").and_then(Json::as_str).unwrap();
-    assert_eq!(distance_kernel, rabitq_core::hw::active_distance_kernel());
-    if std::env::var("RABITQ_FORCE_KERNEL").is_ok_and(|name| name.trim() == "scalar") {
-        assert_eq!((kernel, distance_kernel), ("scalar", "portable"));
+    assert_eq!(kernel, rabitq_core::hw::active_kernel());
+    assert!(body.get("distance_kernel").is_none(), "one kernel, one key");
+    if std::env::var("RABITQ_FORCE_KERNEL").is_ok() {
+        assert_eq!(kernel, "scalar");
     }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

@@ -266,7 +266,10 @@ impl Collection {
     /// Only deterministic corruption (checksum mismatch, truncation,
     /// garbage) triggers quarantine; a transient I/O error reading a
     /// segment fails the open instead, so a flaky disk can never cause
-    /// data to be dropped from the manifest.
+    /// data to be dropped from the manifest. A manifest whose quantizer
+    /// config fails [`RabitqConfig::validate`] fails the open
+    /// (`InvalidData`), and so does a fresh open under such a config
+    /// (`InvalidInput`), before any file is written.
     pub fn open_with_io(
         dir: &Path,
         mut config: CollectionConfig,
@@ -299,7 +302,12 @@ impl Collection {
         } else {
             // Write the fresh manifest immediately so the directory is a
             // valid collection (openable by `open_existing`) before the
-            // first seal, and the chosen quantizer config is durable.
+            // first seal, and the chosen quantizer config is durable. A
+            // config no segment could be read back under is refused first.
+            config
+                .rabitq
+                .validate()
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
             let mut m = Manifest::new(config.dim);
             m.rabitq = config.rabitq;
             m.memtable_capacity = config.memtable_capacity;

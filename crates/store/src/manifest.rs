@@ -121,6 +121,9 @@ impl Manifest {
                 d => Some(usize::try_from(d).map_err(|_| p::invalid("padded_dim overflow"))?),
             },
         };
+        // A config no quantizer takes fails the open here: the segments
+        // built with it would each fail to load and be quarantined.
+        rabitq.validate().map_err(p::invalid)?;
         let memtable_capacity = p::read_usize(&mut r)?;
         let centre = if section == MANIFEST_SECTION_V1 {
             None

@@ -1,7 +1,10 @@
 //! Collection lifecycle: open → write → crash → replay → compact → search.
 
 use rabitq_core::RotatorKind;
-use rabitq_store::{Collection, CollectionConfig, Segment, Wal, MANIFEST_FILE, WAL_FILE};
+use rabitq_store::{
+    Collection, CollectionConfig, Manifest, Segment, Wal, MANIFEST_FILE, QUARANTINE_SUFFIX,
+    WAL_FILE,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -88,6 +91,57 @@ fn non_finite_rows_are_refused_before_the_wal() {
     }
     c.seal().unwrap();
     assert_eq!((c.len(), c.n_segments()), (600, 2));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn invalid_quantizer_configs_are_refused_before_any_row_is_acked() {
+    let dim = 8;
+    let bad = [
+        (0u8, 1.9f32),
+        (9, 1.9),
+        (255, 1.9),
+        (4, -5.0),
+        (4, f32::NAN),
+        (4, f32::INFINITY),
+    ];
+    for (i, (bq, epsilon0)) in bad.into_iter().enumerate() {
+        let dir = tmp_dir(&format!("bad-config-{i}"));
+        let mut config = small_config(dim, 200);
+        config.rabitq.bq = bq;
+        config.rabitq.epsilon0 = epsilon0;
+        let err = Collection::open(&dir, config)
+            .err()
+            .unwrap_or_else(|| panic!("B_q {bq}, epsilon0 {epsilon0} opened"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(!dir.join(MANIFEST_FILE).exists() && !dir.join(WAL_FILE).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // A manifest recording such a config fails the open as corrupt data.
+    // Read as a working config, its two sealed segments would each fail
+    // to load and be quarantined, and the open would serve the rest.
+    let dir = tmp_dir("bad-manifest");
+    {
+        let mut c = Collection::open(&dir, small_config(dim, 200)).unwrap();
+        for row in gaussian(500, dim, 5).chunks_exact(dim) {
+            c.insert(row).unwrap();
+        }
+        assert_eq!(c.n_segments(), 2);
+    }
+    let path = dir.join(MANIFEST_FILE);
+    let mut manifest = Manifest::load(&path).unwrap();
+    manifest.rabitq.bq = 9;
+    manifest.store(&path).unwrap();
+    let err = Collection::open(&dir, small_config(dim, 200))
+        .err()
+        .expect("a manifest with B_q 9 opened");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let name = entry.unwrap().file_name();
+        let name = name.to_string_lossy();
+        assert!(!name.ends_with(QUARANTINE_SUFFIX), "{name} was quarantined");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
