@@ -17,7 +17,7 @@
 
 use rabitq_aq::{AdditiveQuantizer, AqConfig};
 use rabitq_bench::{Args, Table, Testbed};
-use rabitq_core::{CodeSet, PackedCodes, Rabitq, RabitqConfig};
+use rabitq_core::{CodeSet, PackedCodes, QuantizedQuery, Rabitq, RabitqConfig};
 use rabitq_data::registry::PaperDataset;
 use rabitq_math::vecs;
 use rabitq_metrics::{RelativeErrorStats, Stopwatch};
@@ -165,8 +165,10 @@ fn eval_rabitq(
     seed: u64,
 ) -> (Stopwatch, RelativeErrorStats) {
     let padded = quantizer.padded_dim();
+    let bq = quantizer.config().bq;
     let n = tb.ds.n();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF163);
+    let mut residual = vec![0.0f32; padded];
     let mut est_buf = vec![0.0f32; n];
     let mut batch = Vec::new();
     let mut sw = Stopwatch::new();
@@ -182,7 +184,8 @@ fn eval_rabitq(
                 continue;
             }
             let rc = &index.rotated_centroids[c * padded..(c + 1) * padded];
-            let prepared = quantizer.prepare_query_prerotated(&rotated_q, rc, &mut rng);
+            vecs::sub(&rotated_q, rc, &mut residual);
+            let prepared = QuantizedQuery::from_rotated_residual(&residual, bq, &mut rng);
             let (set, packed) = &index.buckets[c];
             if single {
                 for (slot, &id) in ids.iter().enumerate() {

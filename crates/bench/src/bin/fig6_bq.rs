@@ -12,8 +12,9 @@
 //! ```
 
 use rabitq_bench::{Args, Table, Testbed};
-use rabitq_core::{Rabitq, RabitqConfig};
+use rabitq_core::{QuantizedQuery, Rabitq, RabitqConfig};
 use rabitq_data::registry::PaperDataset;
+use rabitq_math::vecs;
 use rabitq_metrics::RelativeErrorStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,14 +66,19 @@ fn main() {
         for bq in 1..=8u8 {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xB9);
             let mut err = RelativeErrorStats::new();
+            let mut residual = vec![0.0f32; dim];
             for (qi, exact_row) in exact.iter().enumerate().take(queries) {
                 let query = tb.ds.query(qi);
                 for (c, ids) in tb.buckets.iter().enumerate() {
                     if ids.is_empty() {
                         continue;
                     }
-                    let prepared =
-                        quantizer.prepare_query_bq(query, tb.coarse.centroid(c), bq, &mut rng);
+                    vecs::sub(query, tb.coarse.centroid(c), &mut residual);
+                    let prepared = QuantizedQuery::from_rotated_residual(
+                        &quantizer.rotate(&residual),
+                        bq,
+                        &mut rng,
+                    );
                     for (slot, &id) in ids.iter().enumerate() {
                         let est = quantizer.estimate(&prepared, &buckets[c], slot);
                         err.record(est.dist_sq, exact_row[id as usize]);

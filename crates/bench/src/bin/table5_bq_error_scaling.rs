@@ -12,6 +12,7 @@
 //! ```
 
 use rabitq_bench::{Args, Table};
+use rabitq_core::estimator::QueryTerms;
 use rabitq_core::kernels::ip_code_query;
 use rabitq_core::QuantizedQuery;
 use rabitq_math::rng::standard_normal_vec;
@@ -63,7 +64,7 @@ fn main() {
                 let ip_bin = ip_code_query(&code, &query);
                 let popcount: u32 = code.iter().map(|w| w.count_ones()).sum();
                 let approx =
-                    rabitq_core::estimator::ip_quantized(ip_bin, popcount, &query, dim) as f64;
+                    QueryTerms::new(&query, dim).ip_quantized(ip_bin, popcount, 0.0) as f64;
                 let err = (exact - approx).abs();
                 let delta = query.delta as f64;
                 err_sum += err;

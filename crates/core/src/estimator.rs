@@ -167,12 +167,6 @@ impl QueryTerms {
     }
 }
 
-/// Recovers `⟨x̄, q̄⟩` from the integer kernel output (Eq. 20).
-#[inline]
-pub fn ip_quantized(ip_bin: u32, popcount: u32, query: &QuantizedQuery, padded_dim: usize) -> f32 {
-    QueryTerms::new(query, padded_dim).ip_quantized(ip_bin, popcount, 0.0)
-}
-
 /// The shared per-code estimator body. Every public entry point — the
 /// single-code [`estimate`] and the batch [`estimate_block`] — funnels
 /// through this exact instruction sequence, which is what makes their
@@ -309,7 +303,7 @@ pub fn estimate_biased(
     query: &QuantizedQuery,
     padded_dim: usize,
 ) -> DistanceEstimate {
-    let ip_est = ip_quantized(ip_bin, factors.popcount, query, padded_dim);
+    let ip_est = QueryTerms::new(query, padded_dim).ip_quantized(ip_bin, factors.popcount, 0.0);
     let cross = 2.0 * factors.norm * query.q_dist;
     let base = factors.norm * factors.norm + query.q_dist * query.q_dist;
     DistanceEstimate {
@@ -344,7 +338,8 @@ mod tests {
         set.push(&code, 1.0, 0.8);
 
         let ip_bin = ip_code_query(set.code_bits(0), &query);
-        let via_identity = ip_quantized(ip_bin, set.factors(0).popcount, &query, padded);
+        let via_identity =
+            QueryTerms::new(&query, padded).ip_quantized(ip_bin, set.factors(0).popcount, 0.0);
 
         let xbar = set.reconstruct_rotated(0);
         let direct: f32 = (0..padded).map(|i| xbar[i] * query.dequantized(i)).sum();

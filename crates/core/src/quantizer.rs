@@ -94,7 +94,15 @@ pub struct Rabitq {
 
 impl Rabitq {
     /// Samples a quantizer for `dim`-dimensional vectors.
+    ///
+    /// # Panics
+    /// Panics with [`RabitqConfig::validate`]'s message if `config` is one
+    /// no quantizer can run with, so no index is ever built (and saved)
+    /// that its reader would reject.
     pub fn new(dim: usize, config: RabitqConfig) -> Self {
+        if let Err(why) = config.validate() {
+            panic!("invalid RaBitQ config: {why}");
+        }
         let rotator = Rotator::sample(config.rotator, dim, config.padded_dim, config.seed);
         Self {
             rotator,
@@ -203,24 +211,12 @@ impl Rabitq {
 
     /// Prepares a raw query against `centroid` (Algorithm 2, lines 1–2):
     /// rotates the residual and scalar-quantizes it with randomized
-    /// rounding.
+    /// rounding. For another `B_q` (the Figure 6 study), quantize the
+    /// rotated residual with [`QuantizedQuery::from_rotated_residual`].
     pub fn prepare_query<R: Rng + ?Sized>(
         &self,
         query: &[f32],
         centroid: &[f32],
-        rng: &mut R,
-    ) -> QuantizedQuery {
-        self.prepare_query_bq(query, centroid, self.config.bq, rng)
-    }
-
-    /// [`Rabitq::prepare_query`] with an explicit `B_q` override — used by
-    /// the Figure 6 verification study (the codes are `B_q`-independent,
-    /// so one index serves every setting).
-    pub fn prepare_query_bq<R: Rng + ?Sized>(
-        &self,
-        query: &[f32],
-        centroid: &[f32],
-        bq: u8,
         rng: &mut R,
     ) -> QuantizedQuery {
         assert_eq!(query.len(), self.dim, "query dimensionality");
@@ -228,33 +224,16 @@ impl Rabitq {
         let mut residual = vec![0.0f32; self.dim];
         vecs::sub(query, centroid, &mut residual);
         let rotated = self.rotator.rotate_vec(&residual);
-        QuantizedQuery::from_rotated_residual(&rotated, bq, rng)
+        QuantizedQuery::from_rotated_residual(&rotated, self.config.bq, rng)
     }
 
-    /// Prepares a query from pre-rotated pieces: `rotated_query = P⁻¹·q_r`
-    /// and `rotated_centroid = P⁻¹·c`. This is the IVF fast path — the
-    /// query is rotated once, and each probed cluster only pays an O(B)
-    /// subtraction instead of another rotation.
-    pub fn prepare_query_prerotated<R: Rng + ?Sized>(
-        &self,
-        rotated_query: &[f32],
-        rotated_centroid: &[f32],
-        rng: &mut R,
-    ) -> QuantizedQuery {
-        let padded = self.padded_dim();
-        assert_eq!(rotated_query.len(), padded, "rotated query length");
-        assert_eq!(rotated_centroid.len(), padded, "rotated centroid length");
-        let mut residual = vec![0.0f32; padded];
-        vecs::sub(rotated_query, rotated_centroid, &mut residual);
-        QuantizedQuery::from_rotated_residual(&residual, self.config.bq, rng)
-    }
-
-    /// [`Rabitq::prepare_query_prerotated`] into reusable scratch state:
-    /// the residual buffer, the quantized query, and the fast-scan LUT all
-    /// live in `scratch` and are overwritten in place, with no heap
-    /// allocation once the scratch has warmed up. The per-bucket
-    /// preparation, kept for measuring it in isolation; the IVF engine
-    /// prepares one centred query per search instead
+    /// Prepares a per-residual query from pre-rotated pieces,
+    /// `rotated_query = P⁻¹·q_r` and `rotated_centroid = P⁻¹·c`, into
+    /// reusable scratch state: the residual buffer, the quantized query
+    /// and the fast-scan LUT all live in `scratch` and are overwritten in
+    /// place, with no heap allocation once the scratch has warmed up. The
+    /// per-bucket preparation, kept for measuring it in isolation; the IVF
+    /// engine prepares one centred query per search instead
     /// ([`Rabitq::prepare_centred_into`]).
     pub fn prepare_query_prerotated_into<R: Rng + ?Sized>(
         &self,
@@ -263,15 +242,13 @@ impl Rabitq {
         scratch: &mut QueryScratch,
         rng: &mut R,
     ) {
-        let padded = self.padded_dim();
-        assert_eq!(rotated_query.len(), padded, "rotated query length");
-        assert_eq!(rotated_centroid.len(), padded, "rotated centroid length");
-        scratch.residual.resize(padded, 0.0);
-        vecs::sub(rotated_query, rotated_centroid, &mut scratch.residual);
-        scratch
-            .query
-            .quantize_from_rotated_residual(&scratch.residual, self.config.bq, rng);
-        scratch.lut.rebuild(&scratch.query);
+        self.quantize_into(
+            rotated_query,
+            Some(rotated_centroid),
+            self.config.bq,
+            scratch,
+            rng,
+        );
     }
 
     /// Prepares the one centred query of a search plan: quantizes the
@@ -286,14 +263,31 @@ impl Rabitq {
         scratch: &mut QueryScratch,
         rng: &mut R,
     ) {
-        assert_eq!(
-            rotated_centred.len(),
-            self.padded_dim(),
-            "rotated query length"
-        );
-        scratch
-            .query
-            .quantize_from_rotated_residual(rotated_centred, self.plan_bq(), rng);
+        self.quantize_into(rotated_centred, None, self.plan_bq(), scratch, rng);
+    }
+
+    /// The body both scratch preparations share: `rotated` less the
+    /// optional `rotated_centroid`, quantized at `bq` bits, and its LUT.
+    fn quantize_into<R: Rng + ?Sized>(
+        &self,
+        rotated: &[f32],
+        rotated_centroid: Option<&[f32]>,
+        bq: u8,
+        scratch: &mut QueryScratch,
+        rng: &mut R,
+    ) {
+        let padded = self.padded_dim();
+        assert_eq!(rotated.len(), padded, "rotated query length");
+        let w = match rotated_centroid {
+            Some(centroid) => {
+                assert_eq!(centroid.len(), padded, "rotated centroid length");
+                scratch.residual.resize(padded, 0.0);
+                vecs::sub(rotated, centroid, &mut scratch.residual);
+                &scratch.residual[..]
+            }
+            None => rotated,
+        };
+        scratch.query.quantize_from_rotated_residual(w, bq, rng);
         scratch.lut.rebuild(&scratch.query);
     }
 
@@ -301,43 +295,12 @@ impl Rabitq {
     /// `query` and the vector behind code `i`, via the single-code bitwise
     /// kernel (Algorithm 2, lines 3–5).
     pub fn estimate(&self, query: &QuantizedQuery, set: &CodeSet, i: usize) -> DistanceEstimate {
-        self.estimate_with_epsilon(query, set, i, self.config.epsilon0)
-    }
-
-    /// [`Rabitq::estimate`] with an explicit `ε₀` — the Figure 5 study
-    /// sweeps the confidence parameter without rebuilding the index.
-    pub fn estimate_with_epsilon(
-        &self,
-        query: &QuantizedQuery,
-        set: &CodeSet,
-        i: usize,
-        epsilon0: f32,
-    ) -> DistanceEstimate {
         debug_assert_eq!(query.padded_dim(), self.padded_dim());
         let ip_bin = ip_code_query(set.code_bits(i), query);
-        estimator::estimate(ip_bin, set.factors(i), query, self.padded_dim(), epsilon0)
-    }
-
-    /// The single-code estimate under a centred query `w` (prepared by
-    /// [`Rabitq::prepare_centred_into`]) for code `i` of a bucket whose
-    /// centroid lies at squared distance `centroid_dist_sq` from the raw
-    /// query and whose centre offsets are `offsets`. Bit-identical to
-    /// [`Rabitq::estimate_batch_centred`].
-    pub fn estimate_centred(
-        &self,
-        query: &QuantizedQuery,
-        centroid_dist_sq: f32,
-        set: &CodeSet,
-        offsets: &[f32],
-        i: usize,
-    ) -> DistanceEstimate {
-        debug_assert_eq!(query.padded_dim(), self.padded_dim());
-        let terms = estimator::QueryTerms::centred(query, self.padded_dim(), centroid_dist_sq);
-        estimator::estimate_with_terms(
-            ip_code_query(set.code_bits(i), query),
+        estimator::estimate(
+            ip_bin,
             set.factors(i),
-            offsets[i],
-            &terms,
+            query,
             self.padded_dim(),
             self.config.epsilon0,
         )
@@ -422,7 +385,8 @@ impl Rabitq {
     /// `scratch` ([`Rabitq::prepare_centred_into`]): `centroid_dist_sq` is
     /// the bucket centroid's squared distance from the raw query and
     /// `offsets` its codes' centre offsets. Bit-identical to
-    /// [`Rabitq::estimate_centred`] per code.
+    /// [`estimator::estimate_with_terms`] under
+    /// [`QueryTerms::centred`](estimator::QueryTerms::centred) per code.
     #[allow(clippy::too_many_arguments)]
     pub fn estimate_batch_centred(
         &self,
@@ -582,8 +546,10 @@ mod tests {
             let rotated_centroid = q.rotate(centroid);
             let mut rng_a = StdRng::seed_from_u64(17);
             let mut rng_b = StdRng::seed_from_u64(17);
+            let mut residual = vec![0.0f32; q.padded_dim()];
+            vecs::sub(&rotated_query, &rotated_centroid, &mut residual);
             let prepared =
-                q.prepare_query_prerotated(&rotated_query, &rotated_centroid, &mut rng_a);
+                QuantizedQuery::from_rotated_residual(&residual, q.config().bq, &mut rng_a);
             q.prepare_query_prerotated_into(
                 &rotated_query,
                 &rotated_centroid,
@@ -603,6 +569,98 @@ mod tests {
                 &mut batch_b,
             );
             assert_eq!(batch_a, batch_b);
+        }
+    }
+
+    #[test]
+    fn centred_batch_matches_per_code_reference_bit_for_bit() {
+        // Odd set sizes leave a ragged tail block (BLOCK = 32); the batch
+        // must equal the per-code estimator under the same centred terms.
+        let dim = 100;
+        let centroid: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.03).sin()).collect();
+        let centre: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.07).cos() * 0.5).collect();
+        let mut from_centre = vec![0.0f32; dim];
+        vecs::sub(&centroid, &centre, &mut from_centre);
+        for rotator in [
+            RotatorKind::DenseOrthogonal,
+            RotatorKind::RandomizedHadamard,
+        ] {
+            let q = Rabitq::new(
+                dim,
+                RabitqConfig {
+                    rotator,
+                    ..RabitqConfig::default()
+                },
+            );
+            let padded = q.padded_dim();
+            let mut scratch = QueryScratch::new();
+            let mut batch = Vec::new();
+            for n in [1usize, 31, 33, 97] {
+                let data = make_data(n, dim, 20 + n as u64);
+                let codes = q.encode_set(data.iter().map(|v| v.as_slice()), &centroid);
+                let packed = q.pack(&codes);
+                let mut offsets = Vec::new();
+                codes.centre_offsets(&q.rotate(&from_centre), &mut offsets);
+                let mut rng = StdRng::seed_from_u64(21);
+                let query_vec = standard_normal_vec(&mut rng, dim);
+                let mut centred = vec![0.0f32; dim];
+                vecs::sub(&query_vec, &centre, &mut centred);
+                q.prepare_centred_into(&q.rotate(&centred), &mut scratch, &mut rng);
+                let centroid_dist_sq = vecs::l2_sq(&centroid, &query_vec);
+                let epsilon0 = q.config().epsilon0;
+                q.estimate_batch_centred(
+                    &scratch,
+                    centroid_dist_sq,
+                    &packed,
+                    &codes,
+                    &offsets,
+                    epsilon0,
+                    &mut batch,
+                );
+                assert_eq!(batch.len(), n);
+                let terms =
+                    estimator::QueryTerms::centred(scratch.query(), padded, centroid_dist_sq);
+                for (i, &b) in batch.iter().enumerate() {
+                    let single = estimator::estimate_with_terms(
+                        ip_code_query(codes.code_bits(i), scratch.query()),
+                        codes.factors(i),
+                        offsets[i],
+                        &terms,
+                        padded,
+                        epsilon0,
+                    );
+                    assert_eq!(single, b, "{rotator:?} n {n} code {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn new_rejects_configs_no_reader_accepts() {
+        let bad = [
+            RabitqConfig {
+                bq: 0,
+                ..RabitqConfig::default()
+            },
+            RabitqConfig {
+                bq: 9,
+                ..RabitqConfig::default()
+            },
+            RabitqConfig {
+                epsilon0: -5.0,
+                ..RabitqConfig::default()
+            },
+            RabitqConfig {
+                epsilon0: f32::NAN,
+                ..RabitqConfig::default()
+            },
+        ];
+        for config in bad {
+            let why = config.validate().unwrap_err();
+            let panic = std::panic::catch_unwind(|| Rabitq::new(64, config))
+                .expect_err("an invalid config was accepted");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(message.contains(why), "{config:?}: {message}");
         }
     }
 
@@ -668,8 +726,11 @@ mod tests {
 
         let rotated_query = q.rotate(&query_vec);
         let rotated_centroid = q.rotate(&centroid);
+        let mut residual = vec![0.0f32; q.padded_dim()];
+        vecs::sub(&rotated_query, &rotated_centroid, &mut residual);
         let mut rng_b = StdRng::seed_from_u64(8);
-        let prerotated = q.prepare_query_prerotated(&rotated_query, &rotated_centroid, &mut rng_b);
+        let prerotated =
+            QuantizedQuery::from_rotated_residual(&residual, q.config().bq, &mut rng_b);
 
         // Rotation is linear so the residuals agree to f32 round-off; the
         // randomized rounding sees near-identical inputs and the identical

@@ -122,13 +122,17 @@ pub struct GraphRabitq {
 
 impl GraphRabitq {
     /// Builds an index over a flat `n × dim` buffer.
+    ///
+    /// # Panics
+    /// Panics if `config.rabitq` fails `RabitqConfig::validate` (see
+    /// [`Rabitq::new`]).
     pub fn build(data: &[f32], dim: usize, config: GraphRabitqConfig) -> Self {
         assert!(dim > 0, "dim must be positive");
         assert!(data.len().is_multiple_of(dim), "data shape");
         assert!(config.centroids >= 1, "at least one centroid");
         let n = data.len() / dim;
-        let graph = Hnsw::build(data, dim, config.hnsw);
         let quantizer = Rabitq::new(dim, config.rabitq);
+        let graph = Hnsw::build(data, dim, config.hnsw);
 
         let (centroids, assignments) = if config.centroids == 1 || n <= config.centroids {
             (mean_vector(data, dim, n), vec![0u32; n])
@@ -234,10 +238,15 @@ impl GraphRabitq {
         assert_eq!(query.len(), self.dim(), "query dimensionality");
         let rotated = self.quantizer.rotate(query);
         let padded = self.quantizer.padded_dim();
+        let bq = self.quantizer.config().bq;
+        let mut residual = vec![0.0f32; padded];
         let per_centroid = self
             .rotated_centroids
             .chunks_exact(padded)
-            .map(|rc| self.quantizer.prepare_query_prerotated(&rotated, rc, rng))
+            .map(|rc| {
+                vecs::sub(&rotated, rc, &mut residual);
+                QuantizedQuery::from_rotated_residual(&residual, bq, rng)
+            })
             .collect();
         PreparedGraphQuery { per_centroid }
     }

@@ -2,8 +2,8 @@
 //!
 //! A [`CancelToken`] is a monotonic deadline plus a shared kill flag.
 //! It lives in this crate because the index scan is the innermost loop
-//! that must observe it: [`crate::IvfRabitq::search_into_cancellable`]
-//! checks the token at each probed-bucket boundary, and higher layers
+//! that must observe it: [`crate::IvfRabitq::scan_planned`] checks
+//! the token at each probed-bucket boundary, and higher layers
 //! (segment loops, batch dispatch, the HTTP router) thread the same
 //! token down so one check granularity covers the whole request.
 //!

@@ -217,7 +217,8 @@ impl IvfRabitq {
     /// the offsets are computed inside the encode pass.
     ///
     /// # Panics
-    /// Panics if `centre` is not `dim` long.
+    /// Panics if `centre` is not `dim` long, or if `rabitq` fails
+    /// [`RabitqConfig::validate`] (see [`Rabitq::new`]).
     pub fn build_centred(
         data: &[f32],
         dim: usize,
@@ -228,6 +229,8 @@ impl IvfRabitq {
         assert!(dim > 0 && data.len().is_multiple_of(dim), "data shape");
         let n = data.len() / dim;
         assert!(n > 0, "cannot index an empty dataset");
+        let quantizer = Rabitq::new(dim, rabitq);
+        let padded = quantizer.padded_dim();
 
         let mut km_cfg = KMeansConfig::new(ivf.n_clusters.min(n));
         km_cfg.max_iters = ivf.kmeans_iters;
@@ -235,9 +238,6 @@ impl IvfRabitq {
         km_cfg.training_sample = ivf.kmeans_sample;
         km_cfg.threads = ivf.threads;
         let coarse = kmeans_train(data, dim, &km_cfg);
-
-        let quantizer = Rabitq::new(dim, rabitq);
-        let padded = quantizer.padded_dim();
 
         // Pre-rotate every centroid once.
         let mut rotated_centroids = vec![0.0f32; coarse.k() * padded];
@@ -533,6 +533,11 @@ impl IvfRabitq {
     /// buffers reached the workload's shape), the steady-state query path
     /// performs **zero heap allocations** — verified by the
     /// counting-allocator test in `tests/alloc_free.rs`.
+    ///
+    /// The four steps of a one-index collection, never cancelled; a caller
+    /// with a [`CancelToken`] runs [`SearchScratch::begin`],
+    /// [`IvfRabitq::plan_into`], [`IvfRabitq::scan_planned`] and
+    /// [`SearchScratch::finish`] itself.
     pub fn search_into<R: Rng + ?Sized>(
         &self,
         query: &[f32],
@@ -542,49 +547,18 @@ impl IvfRabitq {
         scratch: &mut SearchScratch,
         rng: &mut R,
     ) -> (usize, usize) {
-        self.search_into_cancellable(
-            query,
-            k,
-            nprobe,
-            strategy,
-            scratch,
-            rng,
-            &CancelToken::none(),
-        )
-        .expect("a never-cancelling token cannot cancel")
-    }
-
-    /// [`IvfRabitq::search_into`] with cooperative cancellation: the
-    /// token is polled at every probed-bucket boundary (the scan's
-    /// natural checkpoint — coarse enough to stay off the per-code hot
-    /// path, fine enough that an expired deadline stops the query within
-    /// one bucket's worth of work). Returns `None` if the token
-    /// cancelled before the scan finished; `scratch.neighbors` is then
-    /// cleared (partial candidates are discarded, never returned) and
-    /// `scratch.stages` holds the time spent up to the bail-out.
-    ///
-    /// A completed scan (`Some`) is bit-identical to [`IvfRabitq::search_into`]
-    /// with the same RNG stream: the checkpoints only read the token.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_into_cancellable<R: Rng + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        strategy: RerankStrategy,
-        scratch: &mut SearchScratch,
-        rng: &mut R,
-        cancel: &CancelToken,
-    ) -> Option<(usize, usize)> {
         assert_eq!(query.len(), self.dim, "query dimensionality");
         scratch.begin(k);
         if self.is_empty() || k == 0 {
-            return Some((0, 0));
+            return (0, 0);
         }
         self.plan_into(query, scratch, rng);
-        let counts = self.scan_planned(query, nprobe, strategy, scratch, |id| id, cancel)?;
+        let never = CancelToken::none();
+        let counts = self
+            .scan_planned(query, nprobe, strategy, scratch, |id| id, &never)
+            .expect("a never-cancelling token cannot cancel");
         scratch.finish();
-        Some(counts)
+        counts
     }
 
     /// Builds the query plan for `query` into `scratch`: `q − μ`, its one
@@ -1268,15 +1242,9 @@ mod tests {
         token.cancel();
         for strategy in ALL_STRATEGIES {
             let mut rng = StdRng::seed_from_u64(21);
-            let got = index.search_into_cancellable(
-                ds.query(0),
-                5,
-                8,
-                strategy,
-                &mut scratch,
-                &mut rng,
-                &token,
-            );
+            scratch.begin(5);
+            index.plan_into(ds.query(0), &mut scratch, &mut rng);
+            let got = index.scan_planned(ds.query(0), 8, strategy, &mut scratch, |id| id, &token);
             assert!(got.is_none(), "{strategy:?} must observe cancellation");
             assert!(
                 scratch.neighbors.is_empty(),
@@ -1301,23 +1269,40 @@ mod tests {
                 let mut rng_b = StdRng::seed_from_u64(seed);
                 let plain =
                     index.search_into(ds.query(qi), 5, 8, strategy, &mut scratch_a, &mut rng_a);
+                scratch_b.begin(5);
+                index.plan_into(ds.query(qi), &mut scratch_b, &mut rng_b);
                 let cancellable = index
-                    .search_into_cancellable(
-                        ds.query(qi),
-                        5,
-                        8,
-                        strategy,
-                        &mut scratch_b,
-                        &mut rng_b,
-                        &token,
-                    )
+                    .scan_planned(ds.query(qi), 8, strategy, &mut scratch_b, |id| id, &token)
                     .expect("far deadline never cancels");
+                scratch_b.finish();
                 assert_eq!(plain, cancellable, "{strategy:?} query {qi}");
                 assert_eq!(
                     scratch_a.neighbors, scratch_b.neighbors,
                     "{strategy:?} query {qi}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn build_rejects_configs_no_reader_accepts() {
+        let ds = dataset(100, 16);
+        for (bq, epsilon0) in [(0u8, 1.9f32), (9, 1.9), (4, -5.0), (4, f32::NAN)] {
+            let config = RabitqConfig {
+                bq,
+                epsilon0,
+                ..RabitqConfig::default()
+            };
+            let panic = std::panic::catch_unwind(|| {
+                IvfRabitq::build(&ds.data, ds.dim, &IvfConfig::new(4), config)
+            })
+            .err()
+            .unwrap_or_else(|| panic!("B_q {bq}, epsilon0 {epsilon0} was built"));
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                message.contains(config.validate().unwrap_err()),
+                "{message}"
+            );
         }
     }
 

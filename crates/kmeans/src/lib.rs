@@ -714,6 +714,22 @@ mod tests {
     }
 
     #[test]
+    fn threaded_lloyd_matches_single_threaded() {
+        // ≥ 1 024 training rows with threads > 1 take the threaded
+        // assignment step; its per-chunk objective partials must add up
+        // to the serial sum, and its centroids to the serial ones.
+        let (n, dim) = (3_000, 16);
+        let mut rng = StdRng::seed_from_u64(7);
+        let data = rabitq_math::rng::standard_normal_vec(&mut rng, n * dim);
+        let mut config = KMeansConfig::new(40);
+        let single = train(&data, dim, &config);
+        config.threads = 4;
+        let threaded = train(&data, dim, &config);
+        assert_eq!(single.centroids(), threaded.centroids());
+        assert_eq!(single.objective.to_bits(), threaded.objective.to_bits());
+    }
+
+    #[test]
     fn training_on_sample_still_produces_k_centroids() {
         let (data, dim) = blobs();
         let mut cfg = KMeansConfig::new(3);

@@ -56,8 +56,8 @@ use rabitq_ivf::{CancelToken, SearchResult, SearchScratch};
 use rabitq_metrics::Stage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::{RefCell, UnsafeCell};
-use std::sync::{Arc, RwLock};
+use std::cell::RefCell;
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 /// Nanoseconds since `t0`, saturated to `u64` (the stage-trace unit).
@@ -70,35 +70,6 @@ thread_local! {
     /// Per-thread reusable scratch: pool workers are persistent, so this
     /// amortizes to zero allocations per query at steady state.
     static SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::new());
-}
-
-/// Write-once result slots shared with pool workers. Disjointness is
-/// guaranteed by the pool's item claiming: each index is handed to exactly
-/// one task invocation, and the pool's completion barrier orders all
-/// writes before the submitter reads.
-struct ResultSlots<T>(Vec<UnsafeCell<Option<T>>>);
-
-// SAFETY: see above — indices are written by their unique claimant only.
-unsafe impl<T: Send> Sync for ResultSlots<T> {}
-
-impl<T> ResultSlots<T> {
-    fn new(n: usize) -> Self {
-        Self((0..n).map(|_| UnsafeCell::new(None)).collect())
-    }
-
-    /// # Safety
-    /// Must be called at most once per index, with no concurrent access
-    /// to the same index.
-    unsafe fn put(&self, i: usize, value: T) {
-        *self.0[i].get() = Some(value);
-    }
-
-    fn into_results(self) -> Vec<T> {
-        self.0
-            .into_iter()
-            .map(|c| c.into_inner().expect("every slot filled"))
-            .collect()
-    }
 }
 
 /// Thread-count and determinism knobs for the batch search paths.
@@ -314,12 +285,16 @@ impl Snapshot {
         if threads <= 1 {
             return (0..n).map(one).collect();
         }
-        let slots = ResultSlots::new(n);
+        // Write-once slots: the pool claims each `qi` exactly once, and its
+        // completion barrier orders every write before the reads below.
+        let slots: Vec<OnceLock<Option<SearchResult>>> = (0..n).map(|_| OnceLock::new()).collect();
         WorkerPool::global().run(n, threads - 1, |qi| {
-            // SAFETY: the pool claims each `qi` exactly once.
-            unsafe { slots.put(qi, one(qi)) };
+            assert!(slots[qi].set(one(qi)).is_ok(), "query {qi} claimed twice");
         });
-        slots.into_results()
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every slot filled"))
+            .collect()
     }
 
     /// The one search core, through this thread's [`SearchScratch`]: the

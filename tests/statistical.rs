@@ -8,7 +8,9 @@
 //! the default is only allowed to be the default while it passes the same
 //! checks.
 
-use rabitq::core::{QueryScratch, Rabitq, RabitqConfig, RotatorKind};
+use rabitq::core::estimator::estimate;
+use rabitq::core::kernels::ip_code_query;
+use rabitq::core::{PackedCodes, QuantizedQuery, QueryScratch, Rabitq, RabitqConfig, RotatorKind};
 use rabitq::data::{generate, DatasetSpec, Profile};
 use rabitq::math::rng::standard_normal_vec;
 use rabitq::math::special::expected_code_alignment;
@@ -176,10 +178,12 @@ fn bound_failure_rate(rotator: RotatorKind) {
     let codes = quantizer.encode_set(data.iter().map(|v| v.as_slice()), &centroid);
     let query = standard_normal_vec(&mut rng, dim);
     let prepared = quantizer.prepare_query(&query, &centroid, &mut rng);
+    let padded = quantizer.padded_dim();
     let violations = |eps: f32| -> usize {
         (0..n)
             .filter(|&i| {
-                let est = quantizer.estimate_with_epsilon(&prepared, &codes, i, eps);
+                let ip_bin = ip_code_query(codes.code_bits(i), &prepared);
+                let est = estimate(ip_bin, codes.factors(i), &prepared, padded, eps);
                 est.lower_bound > vecs::l2_sq(&data[i], &query)
             })
             .count()
@@ -227,8 +231,11 @@ fn bq4_noise(rotator: RotatorKind) {
     let mut est_error = 0.0f64;
     for _ in 0..5 {
         let query = standard_normal_vec(&mut rng, dim);
-        let prep4 = quantizer.prepare_query_bq(&query, &centroid, 4, &mut rng);
-        let prep8 = quantizer.prepare_query_bq(&query, &centroid, 8, &mut rng);
+        let mut residual = vec![0.0f32; dim];
+        vecs::sub(&query, &centroid, &mut residual);
+        let rotated = quantizer.rotate(&residual);
+        let prep4 = QuantizedQuery::from_rotated_residual(&rotated, 4, &mut rng);
+        let prep8 = QuantizedQuery::from_rotated_residual(&rotated, 8, &mut rng);
         for (i, v) in data.iter().enumerate() {
             let e4 = quantizer.estimate(&prep4, &codes, i).dist_sq as f64;
             let e8 = quantizer.estimate(&prep8, &codes, i).dist_sq as f64;
@@ -325,8 +332,9 @@ fn collection_errors(
         })
         .collect();
     let epsilon0 = manifest.rabitq.epsilon0 as f64;
-    // One rotation per segment centroid of c − μ, and one offset per code.
-    let offsets: Vec<Vec<Vec<f32>>> = segments
+    // One rotation per segment centroid of c − μ, and one offset per code;
+    // each bucket's codes packed for the batch kernel the engine runs.
+    let buckets: Vec<Vec<(Vec<f32>, PackedCodes)>> = segments
         .iter()
         .map(|segment| {
             let index = segment.index();
@@ -337,7 +345,7 @@ fn collection_errors(
                     vecs::sub(centroid, &centre, &mut from_centre);
                     let mut g = Vec::new();
                     codes.centre_offsets(&index.quantizer().rotate(&from_centre), &mut g);
-                    g
+                    (g, index.quantizer().pack(codes))
                 })
                 .collect()
         })
@@ -348,6 +356,7 @@ fn collection_errors(
     let mut reranked = Vec::new();
     let mut plan = QueryScratch::new();
     let mut centred = vec![0.0f32; dim];
+    let mut estimates = Vec::new();
     for qi in 0..ds.n_queries() {
         let query = ds.query(qi);
         let answer = collection.reader().search(query, K, usize::MAX, &mut rng);
@@ -358,18 +367,25 @@ fn collection_errors(
         let planner = segments[0].index().quantizer();
         vecs::sub(query, &centre, &mut centred);
         planner.prepare_centred_into(&planner.rotate(&centred), &mut plan, &mut rng);
-        for (segment, offsets) in segments.iter().zip(&offsets) {
+        for (segment, buckets) in segments.iter().zip(&buckets) {
             let index = segment.index();
             let quantizer = index.quantizer();
-            for (c, g) in offsets.iter().enumerate() {
+            for (c, (g, packed)) in buckets.iter().enumerate() {
                 let (centroid, ids, codes, _) = index.bucket(c);
                 let centroid_dist_sq = vecs::l2_sq(centroid, query);
-                for (i, &id) in ids.iter().enumerate() {
+                quantizer.estimate_batch_centred(
+                    &plan,
+                    centroid_dist_sq,
+                    packed,
+                    codes,
+                    g,
+                    quantizer.config().epsilon0,
+                    &mut estimates,
+                );
+                for (est, &id) in estimates.iter().zip(ids) {
                     if index.is_deleted(id) {
                         continue;
                     }
-                    let est =
-                        quantizer.estimate_centred(plan.query(), centroid_dist_sq, codes, g, i);
                     let halfwidth = (est.upper_bound - est.dist_sq) as f64 / epsilon0;
                     if halfwidth <= 0.0 {
                         continue; // the row is its centroid: the estimate is exact
