@@ -1414,6 +1414,18 @@ mod tests {
         }
         std::fs::write(&wal, &bytes[..bytes.len() - 5]).unwrap();
 
+        // An intact frame holding a NaN row is corruption, not a torn
+        // tail: verify reports the WAL unreadable and names the frame.
+        let (mut log, _) = Wal::open(&wal, 128).unwrap();
+        let mut row = vec![1.0f32; 128];
+        row[9] = f32::NAN;
+        log.append_insert(300, &row).unwrap();
+        drop(log);
+        let err = run(&args(&["verify", "--dir", coll.to_str().unwrap()])).unwrap_err();
+        assert!(err.contains("wal is unreadable"), "{err}");
+        assert!(err.contains("id 300"), "{err}");
+        std::fs::write(&wal, &bytes[..bytes.len() - 5]).unwrap();
+
         // A flipped byte inside a sealed segment fails the checksum and
         // the error names the file.
         let victim = std::fs::read_dir(&coll)

@@ -17,9 +17,11 @@
 //! the estimator needs per (query, code) pair — `1/⟨ō,o⟩`, `‖o_r − c‖²`,
 //! and the `ε₀`-independent confidence half-width of Eq. 16 — so the batch
 //! estimate reduces to an affine map over the kernel outputs with no
-//! division or `sqrt` in the scan loop. The derived columns are never
-//! persisted: [`CodeSet::read`] recomputes them, keeping the on-disk
-//! format unchanged.
+//! division or `sqrt` in the scan loop.
+//!
+//! Only the bits, `norm` and `ip_oo` are persisted. The popcount and the
+//! three estimator columns are functions of them, so [`CodeSet::read`]
+//! derives them with `push`'s own ops instead of reading them.
 
 use crate::estimator;
 
@@ -43,8 +45,8 @@ pub struct CodeSet {
     bits: Vec<u64>,
     norms: Vec<f32>,
     ip_oos: Vec<f32>,
+    // Derived columns (recomputed on read, never persisted).
     popcounts: Vec<u32>,
-    // Derived, query-independent estimator columns (recomputed on read).
     norms_sq: Vec<f32>,
     inv_ip_oos: Vec<f32>,
     err_bases: Vec<f32>,
@@ -73,19 +75,6 @@ impl CodeSet {
         }
     }
 
-    /// Creates an empty set with capacity for `n` codes.
-    pub fn with_capacity(padded_dim: usize, n: usize) -> Self {
-        let mut s = Self::new(padded_dim);
-        s.bits.reserve(n * s.words_per_code);
-        s.norms.reserve(n);
-        s.ip_oos.reserve(n);
-        s.popcounts.reserve(n);
-        s.norms_sq.reserve(n);
-        s.inv_ip_oos.reserve(n);
-        s.err_bases.reserve(n);
-        s
-    }
-
     /// Number of codes stored.
     #[inline]
     pub fn len(&self) -> usize {
@@ -107,11 +96,10 @@ impl CodeSet {
     /// Appends a code. `bits` must hold exactly `padded_dim / 64` words.
     pub fn push(&mut self, bits: &[u64], norm: f32, ip_oo: f32) {
         assert_eq!(bits.len(), self.words_per_code, "code word count");
-        let popcount: u32 = bits.iter().map(|w| w.count_ones()).sum();
         self.bits.extend_from_slice(bits);
         self.norms.push(norm);
         self.ip_oos.push(ip_oo);
-        self.popcounts.push(popcount);
+        self.popcounts.push(popcount(bits));
         self.norms_sq.push(norm * norm);
         self.inv_ip_oos.push(estimator::inv_ip_oo(ip_oo));
         self.err_bases
@@ -132,18 +120,6 @@ impl CodeSet {
             ip_oo: self.ip_oos[i],
             popcount: self.popcounts[i],
         }
-    }
-
-    /// All norms (`‖o_r − c‖` per vector).
-    #[inline]
-    pub fn norms(&self) -> &[f32] {
-        &self.norms
-    }
-
-    /// All popcounts (set-bit count per code).
-    #[inline]
-    pub fn popcounts(&self) -> &[u32] {
-        &self.popcounts
     }
 
     /// Struct-of-arrays factor columns for codes `start..start + len`, in
@@ -207,8 +183,7 @@ impl CodeSet {
         p::write_usize(w, self.padded_dim)?;
         p::write_u64_slice(w, &self.bits)?;
         p::write_f32_slice(w, &self.norms)?;
-        p::write_f32_slice(w, &self.ip_oos)?;
-        p::write_u32_slice(w, &self.popcounts)
+        p::write_f32_slice(w, &self.ip_oos)
     }
 
     /// Deserializes a set written by [`CodeSet::write`].
@@ -222,14 +197,14 @@ impl CodeSet {
         let bits = p::read_u64_vec(r)?;
         let norms = p::read_f32_vec(r)?;
         let ip_oos = p::read_f32_vec(r)?;
-        let popcounts = p::read_u32_vec(r)?;
         let n = norms.len();
-        if bits.len() != n * words_per_code || ip_oos.len() != n || popcounts.len() != n {
+        if n.checked_mul(words_per_code) != Some(bits.len()) || ip_oos.len() != n {
             return Err(p::invalid("code set arrays disagree on length"));
         }
-        // The derived estimator columns are not part of the format;
-        // recompute them with the same ops `push` uses so a loaded set is
-        // bit-identical to a freshly built one.
+        // The derived columns are not part of the format; recompute them
+        // with the same ops `push` uses so a loaded set is bit-identical
+        // to a freshly built one.
+        let popcounts = bits.chunks_exact(words_per_code).map(popcount).collect();
         let norms_sq = norms.iter().map(|&v| v * v).collect();
         let inv_ip_oos = ip_oos.iter().map(|&v| estimator::inv_ip_oo(v)).collect();
         let err_bases = ip_oos
@@ -281,6 +256,11 @@ impl CodeSet {
     }
 }
 
+/// Number of set bits in one code.
+fn popcount(bits: &[u64]) -> u32 {
+    bits.iter().map(|w| w.count_ones()).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,6 +310,21 @@ mod tests {
         balanced.push(&[0], 1.0, 1.0);
         balanced.push(&[u64::MAX], 1.0, 1.0);
         assert!((balanced.total_bit_entropy() - 64.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn read_refuses_a_code_length_whose_word_count_overflows() {
+        let mut set = CodeSet::new(64);
+        for i in 0..128u64 {
+            set.push(&[i], 1.0, 1.0);
+        }
+        let mut bytes = Vec::new();
+        set.write(&mut bytes).unwrap();
+        assert!(CodeSet::read(&mut bytes.as_slice()).is_ok());
+        // 2⁶³ bits is 2⁵⁷ words a code: 128 codes overflow `usize`.
+        bytes[..8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        let err = CodeSet::read(&mut bytes.as_slice()).expect_err("accepted");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -450,7 +450,7 @@ impl GraphRabitq {
 
 /// Rotates each `dim`-row of `rows` with the index rotation, yielding a
 /// flat `c × padded_dim` buffer.
-fn rotate_rows(quantizer: &Rabitq, rows: &[f32], dim: usize) -> Vec<f32> {
+pub(crate) fn rotate_rows(quantizer: &Rabitq, rows: &[f32], dim: usize) -> Vec<f32> {
     let mut out = Vec::with_capacity(rows.len() / dim * quantizer.padded_dim());
     for row in rows.chunks_exact(dim) {
         out.extend_from_slice(&quantizer.rotate(row));

@@ -1,8 +1,9 @@
 //! Versioned binary persistence for [`GraphRabitq`] — quantizer (including
 //! the sampled rotation), codes, centroid and the full layer graph, so a
 //! loaded index answers queries bit-identically to the one that was saved.
+//! The rotated centroids and the code popcounts are derived at load.
 
-use crate::index::{GraphRabitq, GraphRerank};
+use crate::index::{rotate_rows, GraphRabitq, GraphRerank};
 use rabitq_core::persist::{
     invalid, read_f32_vec, read_header, read_u32_vec, read_u64, read_u8, read_usize,
     write_f32_slice, write_header, write_u32_slice, write_u64, write_u8, write_usize,
@@ -11,7 +12,10 @@ use rabitq_core::{CodeSet, Rabitq};
 use rabitq_hnsw::{Hnsw, HnswConfig, HnswParts};
 use std::io::{self, Read, Write};
 
-const SECTION: &str = "graph-rabitq-v1";
+const SECTION: &str = "graph-rabitq-v2";
+
+/// The previous format, still read: it also persisted the code popcounts.
+const SECTION_V1: &str = "graph-rabitq-v1";
 
 impl GraphRabitq {
     /// Serializes the index to `w`.
@@ -51,7 +55,8 @@ impl GraphRabitq {
     /// Deserializes an index written by [`GraphRabitq::write`].
     pub fn read<R: Read>(r: &mut R) -> io::Result<Self> {
         let section = read_header(r)?;
-        if section != SECTION {
+        let v1 = section == SECTION_V1;
+        if !v1 && section != SECTION {
             return Err(invalid(format!("expected {SECTION}, found {section}")));
         }
         let rerank = match read_u8(r)? {
@@ -62,6 +67,9 @@ impl GraphRabitq {
         };
         let quantizer = Rabitq::read(r)?;
         let codes = CodeSet::read(r)?;
+        if v1 {
+            read_u32_vec(r)?; // the code popcounts
+        }
         let centroids = read_f32_vec(r)?;
         let assignments = read_u32_vec(r)?;
 
@@ -121,11 +129,7 @@ impl GraphRabitq {
         if assignments.iter().any(|&a| a as usize >= n_centroids) {
             return Err(invalid("assignment points past the centroid table"));
         }
-        // `P⁻¹c` is derived state; recompute it from the loaded rotation.
-        let mut rotated_centroids = Vec::with_capacity(n_centroids * quantizer.padded_dim());
-        for row in centroids.chunks_exact(dim) {
-            rotated_centroids.extend_from_slice(&quantizer.rotate(row));
-        }
+        let rotated_centroids = rotate_rows(&quantizer, &centroids, dim);
         Ok(Self {
             graph,
             quantizer,

@@ -3,8 +3,12 @@
 //! **Index phase**: KMeans buckets the raw vectors; within each bucket the
 //! vectors are normalized against the bucket centroid and RaBitQ-encoded;
 //! codes are additionally packed for the batch fast-scan kernel. Each code
-//! also gets a derived, never-persisted centre offset
-//! `g = ⟨x̄, P⁻¹(c − μ)⟩` about the index's centre `μ`.
+//! also gets a centre offset `g = ⟨x̄, P⁻¹(c − μ)⟩` about the index's
+//! centre `μ`.
+//!
+//! Nothing derivable is persisted (see [`IvfRabitq::write`]): the rotated
+//! centroids `P⁻¹c`, the popcounts, the fast-scan packing, the offsets `g`
+//! and the coarse probe's screen are all rebuilt at load.
 //!
 //! ## One query path
 //!
@@ -38,6 +42,13 @@ use rand::Rng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
+/// Section tag written by [`IvfRabitq::write`].
+const SECTION: &str = "ivf-rabitq-v3";
+
+/// The previous format, still read: it also persisted the rotated
+/// centroids and each bucket's code popcounts, which v3 derives at load.
+const SECTION_V2: &str = "ivf-rabitq-v2";
+
 /// One IVF bucket: original vector ids plus their RaBitQ codes.
 struct Bucket {
     ids: Vec<u32>,
@@ -53,8 +64,6 @@ pub struct IvfRabitq {
     dim: usize,
     quantizer: Rabitq,
     coarse: KMeans,
-    /// `P⁻¹·c` per centroid: with `P⁻¹·μ`, the rotated offsets behind `g`.
-    rotated_centroids: Vec<f32>,
     /// `μ`, the centre every query plan quantizes about: the
     /// size-weighted mean of the centroids, or the collection's centre.
     centre: Vec<f32>,
@@ -198,10 +207,20 @@ fn weighted_mean<'a>(dim: usize, parts: impl IntoIterator<Item = (&'a [f32], usi
     sum.into_iter().map(|s| (s * inv) as f32).collect()
 }
 
-/// `P⁻¹(c − μ)` for centroid `c`, from the pre-rotated pieces.
-fn rotated_offset(rotated_centroid: &[f32], rotated_centre: &[f32], out: &mut Vec<f32>) {
-    out.resize(rotated_centre.len(), 0.0);
-    vecs::sub(rotated_centroid, rotated_centre, out);
+/// The centre offsets `g = ⟨x̄, P⁻¹(c − μ)⟩` of `codes`, encoded about
+/// `centroid`, into `out`, given `rotated_centre = P⁻¹μ`. `P⁻¹c` is one
+/// rotation by the quantizer, derived here rather than kept, so a built
+/// and a loaded index take the same offsets.
+fn centre_offsets(
+    quantizer: &Rabitq,
+    centroid: &[f32],
+    rotated_centre: &[f32],
+    codes: &CodeSet,
+    out: &mut Vec<f32>,
+) {
+    let mut offset = quantizer.rotate(centroid);
+    vecs::sub_assign(&mut offset, rotated_centre);
+    codes.centre_offsets(&offset, out);
 }
 
 impl IvfRabitq {
@@ -230,7 +249,6 @@ impl IvfRabitq {
         let n = data.len() / dim;
         assert!(n > 0, "cannot index an empty dataset");
         let quantizer = Rabitq::new(dim, rabitq);
-        let padded = quantizer.padded_dim();
 
         let mut km_cfg = KMeansConfig::new(ivf.n_clusters.min(n));
         km_cfg.max_iters = ivf.kmeans_iters;
@@ -238,13 +256,6 @@ impl IvfRabitq {
         km_cfg.training_sample = ivf.kmeans_sample;
         km_cfg.threads = ivf.threads;
         let coarse = kmeans_train(data, dim, &km_cfg);
-
-        // Pre-rotate every centroid once.
-        let mut rotated_centroids = vec![0.0f32; coarse.k() * padded];
-        for c in 0..coarse.k() {
-            let rc = quantizer.rotate(coarse.centroid(c));
-            rotated_centroids[c * padded..(c + 1) * padded].copy_from_slice(&rc);
-        }
 
         // Assign and encode per bucket. Encoding dominates the build (one
         // rotation per vector), so buckets are distributed over the
@@ -279,14 +290,8 @@ impl IvfRabitq {
                 );
             }
             let packed = quantizer.pack(&codes);
-            let mut offset = Vec::new();
-            rotated_offset(
-                &rotated_centroids[c * padded..(c + 1) * padded],
-                &rotated_centre,
-                &mut offset,
-            );
             let mut offsets = Vec::new();
-            codes.centre_offsets(&offset, &mut offsets);
+            centre_offsets(&quantizer, centroid, &rotated_centre, &codes, &mut offsets);
             Bucket {
                 ids,
                 codes,
@@ -337,7 +342,6 @@ impl IvfRabitq {
             dim,
             quantizer,
             coarse,
-            rotated_centroids,
             centre,
             buckets,
             data: data.to_vec(),
@@ -367,23 +371,23 @@ impl IvfRabitq {
     }
 
     /// Re-centres the index on `centre`: recomputes every code's offset
-    /// (O(n·B), one rotation). Codes, ids and answers' exact distances are
-    /// untouched; only the plan's quantization changes.
+    /// (O(n·B) plus one rotation per centroid and one of the centre).
+    /// Codes, ids and answers' exact distances are untouched; only the
+    /// plan's quantization changes.
     ///
     /// # Panics
     /// Panics if `centre` is not `dim` long.
     pub fn recentre(&mut self, centre: &[f32]) {
         assert_eq!(centre.len(), self.dim, "centre dimensionality");
-        let padded = self.quantizer.padded_dim();
         let rotated_centre = self.quantizer.rotate(centre);
-        let mut offset = Vec::new();
         for (c, bucket) in self.buckets.iter_mut().enumerate() {
-            rotated_offset(
-                &self.rotated_centroids[c * padded..(c + 1) * padded],
+            centre_offsets(
+                &self.quantizer,
+                self.coarse.centroid(c),
                 &rotated_centre,
-                &mut offset,
+                &bucket.codes,
+                &mut bucket.offsets,
             );
-            bucket.codes.centre_offsets(&offset, &mut bucket.offsets);
         }
         self.centre.clear();
         self.centre.extend_from_slice(centre);
@@ -719,21 +723,21 @@ impl IvfRabitq {
         w.flush()
     }
 
-    /// Serializes the index to any writer. The format persists the
-    /// quantizer (with its sampled rotation), the coarse centroids, every
-    /// bucket's ids and codes, the raw vectors (needed for exact
-    /// re-ranking), and the tombstone bitmap; the fast-scan packing is
-    /// cheap and rebuilt on read.
+    /// Serializes the index to any writer, as `ivf-rabitq-v3`:
+    ///
+    /// 1. the dimension and the quantizer (with its sampled rotation);
+    /// 2. the coarse centroids;
+    /// 3. every bucket's ids and codes (bits, `‖o_r − c‖`, `⟨ō, o⟩`);
+    /// 4. the raw vectors (needed for exact re-ranking);
+    /// 5. the tombstone bitmap.
+    ///
+    /// The read derives everything else (see the module docs).
     pub fn write<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
         use rabitq_core::persist as p;
-        // v2 appends the tombstone bitmap; the section bump makes a v1
-        // file fail with a clear version message instead of a surprise
-        // EOF at the missing trailing field.
-        p::write_header(w, "ivf-rabitq-v2")?;
+        p::write_header(w, SECTION)?;
         p::write_usize(w, self.dim)?;
         self.quantizer.write(w)?;
         p::write_f32_slice(w, self.coarse.centroids())?;
-        p::write_f32_slice(w, &self.rotated_centroids)?;
         p::write_usize(w, self.buckets.len())?;
         for bucket in &self.buckets {
             p::write_u32_slice(w, &bucket.ids)?;
@@ -756,9 +760,10 @@ impl IvfRabitq {
         Self::read(&mut r)
     }
 
-    /// Deserializes an index written by [`IvfRabitq::write`], centred on
-    /// the size-weighted mean of its centroids (the centre
-    /// [`IvfRabitq::build`] gives it; centres are never persisted).
+    /// Deserializes an index written by [`IvfRabitq::write`] (or by the
+    /// `ivf-rabitq-v2` writer before it), centred on the size-weighted
+    /// mean of its centroids (the centre [`IvfRabitq::build`] gives it;
+    /// centres are never persisted).
     pub fn read<R: std::io::Read>(r: &mut R) -> std::io::Result<Self> {
         Self::read_centred(r, None)
     }
@@ -779,9 +784,10 @@ impl IvfRabitq {
                  the index with this version to load it",
             ));
         }
-        if section != "ivf-rabitq-v2" {
+        let v2 = section == SECTION_V2;
+        if !v2 && section != SECTION {
             return Err(p::invalid(format!(
-                "expected ivf-rabitq-v2 file, got {section:?}"
+                "expected {SECTION} file, got {section:?}"
             )));
         }
         let dim = p::read_usize(r)?;
@@ -804,12 +810,8 @@ impl IvfRabitq {
             return Err(p::invalid("non-finite centroid"));
         }
         let coarse = KMeans::from_centroids(centroids, dim);
-        let rotated_centroids = p::read_f32_vec(&mut *r)?;
-        if rotated_centroids.len() != coarse.k() * quantizer.padded_dim() {
-            return Err(p::invalid("rotated centroid buffer shape"));
-        }
-        if !rotated_centroids.iter().all(|v| v.is_finite()) {
-            return Err(p::invalid("non-finite rotated centroid"));
+        if v2 {
+            p::read_f32_vec(&mut *r)?; // the rotated centroids
         }
         let n_buckets = p::read_usize(&mut *r)?;
         if n_buckets != coarse.k() {
@@ -819,6 +821,9 @@ impl IvfRabitq {
         for _ in 0..n_buckets {
             let ids = p::read_u32_vec(&mut *r)?;
             let codes = CodeSet::read(&mut *r)?;
+            if v2 {
+                p::read_u32_vec(&mut *r)?; // the code popcounts
+            }
             if codes.len() != ids.len() || codes.padded_dim() != quantizer.padded_dim() {
                 return Err(p::invalid("bucket codes disagree with ids"));
             }
@@ -869,7 +874,6 @@ impl IvfRabitq {
             dim,
             quantizer,
             coarse,
-            rotated_centroids,
             centre: Vec::new(),
             buckets,
             data,
@@ -1173,19 +1177,10 @@ mod tests {
         };
         let mut centroids = index.coarse.centroids().to_vec();
         centroids[5] = f32::NAN;
-        let clean = std::mem::replace(&mut index.coarse, KMeans::from_centroids(centroids, 16));
+        index.coarse = KMeans::from_centroids(centroids, 16);
         let err = rewritten(&index);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("non-finite centroid"), "{err}");
-
-        index.coarse = clean;
-        index.rotated_centroids[3] = f32::INFINITY;
-        let err = rewritten(&index);
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string().contains("non-finite rotated centroid"),
-            "{err}"
-        );
     }
 
     #[test]

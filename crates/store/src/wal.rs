@@ -9,7 +9,9 @@
 //! intact record so subsequent appends extend a valid log. If that repair
 //! truncation itself fails (disk error mid-recovery), the file is left
 //! untouched and the open errors — the next open re-detects the same torn
-//! tail and retries, so recovery is idempotent.
+//! tail and retries, so recovery is idempotent. An intact frame whose row
+//! holds a non-finite value is not a torn tail but corruption: replay
+//! refuses the log rather than drop the frames after it.
 //!
 //! All file access goes through a [`StorageIo`] VFS, so the crash-matrix
 //! tests can fault any individual operation — including the repair.
@@ -73,7 +75,8 @@ impl Wal {
     /// and replays whatever survived the last process. A torn final record
     /// is tolerated: it is dropped and the file truncated to the last
     /// intact frame. A bad magic or a dimension mismatch is a hard error —
-    /// that is the wrong file, not a crash artifact.
+    /// that is the wrong file, not a crash artifact — and so is an intact
+    /// insert frame holding a non-finite value.
     pub fn open_with_io(
         path: &Path,
         dim: usize,
@@ -206,6 +209,17 @@ fn scan_bytes(bytes: &[u8], dim: usize) -> io::Result<(Vec<WalRecord>, usize, us
     while good < bytes.len() {
         match parse_record(&bytes[good..], dim) {
             Some((record, frame_len)) => {
+                // A frame that passes its checksum is what was appended,
+                // so a non-finite row in it is no torn tail: truncating
+                // here would drop every acknowledged frame after it.
+                // Replayed, it would panic the next seal's k-means.
+                if let WalRecord::Insert { id, vector } = &record {
+                    if let Some(d) = vector.iter().position(|v| !v.is_finite()) {
+                        return Err(p::invalid(format!(
+                            "WAL insert of id {id} holds a non-finite value at dimension {d}"
+                        )));
+                    }
+                }
                 records.push(record);
                 good += frame_len;
             }
@@ -340,6 +354,32 @@ mod tests {
         assert!(replay.recovered_torn_tail);
         assert!(replay.records.len() < 3);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_insert_is_corruption_not_a_torn_tail() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let path = tmp("non-finite");
+            std::fs::remove_file(&path).ok();
+            let (mut wal, _) = Wal::open(&path, 2).unwrap();
+            wal.append_insert(0, &[1.0, 1.0]).unwrap();
+            wal.append_insert(7, &[2.0, bad]).unwrap();
+            wal.append_insert(2, &[3.0, 3.0]).unwrap();
+            drop(wal);
+            let logged = std::fs::read(&path).unwrap();
+
+            let scanned = Wal::scan(&path, 2, &DiskIo)
+                .err()
+                .expect("scan accepted it");
+            let opened = Wal::open(&path, 2).err().expect("open replayed it");
+            for err in [scanned, opened] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad}: {err}");
+                assert!(err.to_string().contains("id 7"), "{bad}: {err}");
+            }
+            // Nothing was truncated: the acknowledged frame after it stays.
+            assert_eq!(std::fs::read(&path).unwrap(), logged, "{bad}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -95,6 +95,32 @@ fn non_finite_rows_are_refused_before_the_wal() {
 }
 
 #[test]
+fn a_non_finite_row_in_the_wal_fails_the_open_without_a_panic() {
+    let dir = tmp_dir("non-finite-wal");
+    let dim = 8;
+    let mut c = Collection::open(&dir, small_config(dim, 1000)).unwrap();
+    for row in gaussian(50, dim, 5).chunks_exact(dim) {
+        c.insert(row).unwrap();
+    }
+    drop(c);
+    // A checksummed frame the insert path would refuse today, as a log
+    // written before it checked could hold.
+    let (mut wal, _) = Wal::open(&dir.join(WAL_FILE), dim).unwrap();
+    let mut row = vec![0.5f32; dim];
+    row[2] = f32::NAN;
+    wal.append_insert(50, &row).unwrap();
+    drop(wal);
+
+    let opened =
+        std::panic::catch_unwind(|| Collection::open(&dir, small_config(dim, 1000)).map(|_| ()))
+            .expect("the open panicked");
+    let err = opened.expect_err("a NaN row was replayed");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("id 50"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn invalid_quantizer_configs_are_refused_before_any_row_is_acked() {
     let dim = 8;
     let bad = [

@@ -2,6 +2,8 @@
 //! and cross-format streams must surface `Err`, never panics, hangs,
 //! unbounded allocations or silently wrong indexes.
 
+mod common;
+
 use rabitq::core::{CodeSet, Rabitq, RabitqConfig};
 use rabitq::data::registry::PaperDataset;
 use rabitq::graph::{GraphRabitq, GraphRabitqConfig};
@@ -74,6 +76,46 @@ fn ivf_header_corruption_is_detected_or_harmless() {
                 let q = vec![0.0f32; index.dim()];
                 let _ = index.search(&q, 3, 2, &mut rng);
             }
+        }
+    }
+}
+
+/// Every truncation and a seeded sample of single-byte flips of a small
+/// index, in the current layout and in the legacy `ivf-rabitq-v2` one:
+/// the decoder returns `Ok` or `Err`, and never panics.
+#[test]
+fn ivf_decoder_survives_every_truncation_and_sampled_byte_flips() {
+    use rand::Rng;
+    let dim = 16;
+    let mut rng = StdRng::seed_from_u64(41);
+    let data = rabitq::math::rng::standard_normal_vec(&mut rng, 96 * dim);
+    let index = IvfRabitq::build(&data, dim, &IvfConfig::new(4), RabitqConfig::default());
+    index.remove(5);
+    let mut v3 = Vec::new();
+    index.write(&mut v3).unwrap();
+    let v2 = common::ivf_v2(&v3);
+    // `Some(loaded)`, or `None` when the decoder panicked.
+    let decodes =
+        |bytes: &[u8]| std::panic::catch_unwind(|| IvfRabitq::read(&mut &bytes[..]).is_ok()).ok();
+    for (layout, bytes) in [("v3", &v3), ("v2", &v2)] {
+        assert_eq!(decodes(bytes), Some(true), "{layout}");
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                decodes(&bytes[..cut]),
+                Some(false),
+                "{layout} cut to {cut} of {} bytes",
+                bytes.len()
+            );
+        }
+        for _ in 0..2_000 {
+            let mut bad = bytes.clone();
+            let pos = rng.gen_range(0..bad.len());
+            let flip = rng.gen_range(1..=255u8);
+            bad[pos] ^= flip;
+            assert!(
+                decodes(&bad).is_some(),
+                "{layout}: the decoder panicked on byte {pos} ^ {flip:#04x}"
+            );
         }
     }
 }

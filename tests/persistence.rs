@@ -1,9 +1,14 @@
 //! Index persistence: save/load round-trips must preserve search behaviour
 //! exactly (same rotation, same codes, same factors ⇒ same estimates).
 
-use rabitq::core::{Rabitq, RabitqConfig, RotatorKind};
+mod common;
+
+use rabitq::core::{persist, Rabitq, RabitqConfig, RotatorKind};
 use rabitq::data::registry::PaperDataset;
-use rabitq::ivf::{IvfConfig, IvfRabitq};
+use rabitq::data::Dataset;
+use rabitq::graph::{GraphRabitq, GraphRabitqConfig};
+use rabitq::ivf::{IvfConfig, IvfRabitq, SearchResult};
+use rabitq::store::Segment;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -13,29 +18,122 @@ fn tmp_path(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn ivf_index_round_trips_with_identical_search_results() {
+    // The load derives every rotated centroid with the stored rotation,
+    // so each rotator kind must reproduce the built index bit for bit.
     let ds = PaperDataset::Sift.generate(1_500, 8, 3);
-    let index = IvfRabitq::build(
-        &ds.data,
-        ds.dim,
-        &IvfConfig::new(10),
-        RabitqConfig::default(),
-    );
-    let path = tmp_path("ivf");
-    index.save(&path).unwrap();
-    let loaded = IvfRabitq::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    for rotator in [
+        RotatorKind::RandomizedHadamard,
+        RotatorKind::DenseOrthogonal,
+        RotatorKind::Identity,
+    ] {
+        let config = RabitqConfig {
+            rotator,
+            ..RabitqConfig::default()
+        };
+        let index = IvfRabitq::build(&ds.data, ds.dim, &IvfConfig::new(10), config);
+        let path = tmp_path("ivf");
+        index.save(&path).unwrap();
+        let loaded = IvfRabitq::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
 
-    assert_eq!(loaded.len(), index.len());
-    assert_eq!(loaded.n_buckets(), index.n_buckets());
+        assert_eq!(loaded.len(), index.len());
+        assert_eq!(loaded.n_buckets(), index.n_buckets());
+        assert_same_answers(&ds, &index, &loaded, &format!("{rotator:?}"));
+    }
+}
+
+/// Ids, `to_bits` distances and the two counts of one search.
+fn answer(res: &SearchResult) -> (Vec<(u32, u32)>, usize, usize) {
+    let neighbors = res
+        .neighbors
+        .iter()
+        .map(|&(id, d)| (id, d.to_bits()))
+        .collect();
+    (neighbors, res.n_estimated, res.n_reranked)
+}
+
+/// Every query of `ds` answers the same, bit for bit, on both indexes.
+fn assert_same_answers(ds: &Dataset, a: &IvfRabitq, b: &IvfRabitq, what: &str) {
     for qi in 0..ds.n_queries() {
         // Identical RNG stream ⇒ identical randomized rounding ⇒ results
         // must match exactly.
         let mut rng_a = StdRng::seed_from_u64(qi as u64);
         let mut rng_b = StdRng::seed_from_u64(qi as u64);
-        let a = index.search(ds.query(qi), 10, 10, &mut rng_a);
-        let b = loaded.search(ds.query(qi), 10, 10, &mut rng_b);
-        assert_eq!(a.neighbors, b.neighbors, "query {qi}");
-        assert_eq!(a.n_reranked, b.n_reranked);
+        let got_a = a.search(ds.query(qi), 10, 10, &mut rng_a);
+        let got_b = b.search(ds.query(qi), 10, 10, &mut rng_b);
+        assert_eq!(answer(&got_a), answer(&got_b), "{what} query {qi}");
+    }
+}
+
+#[test]
+fn legacy_ivf_v2_streams_load_and_answer_bit_identically() {
+    let ds = PaperDataset::Sift.generate(1_200, 8, 4);
+    let index = IvfRabitq::build(
+        &ds.data,
+        ds.dim,
+        &IvfConfig::new(12),
+        RabitqConfig::default(),
+    );
+    index.remove(17);
+    let mut v3 = Vec::new();
+    index.write(&mut v3).unwrap();
+    let v2 = common::ivf_v2(&v3);
+
+    let loaded = IvfRabitq::read(&mut v2.as_slice()).unwrap();
+    assert!(loaded.is_deleted(17));
+    assert_same_answers(&ds, &index, &loaded, "ivf-rabitq-v2");
+
+    // The same stream inside a checksummed segment file.
+    let ids: Vec<u32> = (0..ds.n() as u32).collect();
+    let segment = Segment::build(
+        "seg.rbq".into(),
+        ids,
+        &ds.data,
+        ds.dim,
+        &IvfConfig::new(12),
+        RabitqConfig::default(),
+        None,
+    );
+    let mut file = Vec::new();
+    segment.write(&mut file).unwrap();
+    let legacy = common::segment_with_ivf_v2(&file);
+    let loaded = Segment::read(&mut legacy.as_slice(), "seg.rbq".into(), None).unwrap();
+    assert_same_answers(&ds, segment.index(), loaded.index(), "segment");
+
+    // A v1 file (no tombstone bitmap) is still refused, by name.
+    let mut body = v2.as_slice();
+    persist::read_header(&mut body).unwrap();
+    let mut v1 = Vec::new();
+    persist::write_header(&mut v1, "ivf-rabitq").unwrap();
+    v1.extend_from_slice(body);
+    let err = IvfRabitq::read(&mut v1.as_slice())
+        .err()
+        .expect("a v1 file loaded");
+    assert!(err.to_string().contains("v1 ivf-rabitq file"), "{err}");
+}
+
+#[test]
+fn legacy_graph_v1_streams_load_and_answer_bit_identically() {
+    let ds = PaperDataset::Sift.generate(400, 8, 5);
+    let config = GraphRabitqConfig {
+        centroids: 4,
+        ..GraphRabitqConfig::default()
+    };
+    let index = GraphRabitq::build(&ds.data, ds.dim, config);
+    let mut v2 = Vec::new();
+    index.write(&mut v2).unwrap();
+    let v1 = common::graph_v1(&v2);
+    let loaded = GraphRabitq::read(&mut v1.as_slice()).unwrap();
+    for qi in 0..ds.n_queries() {
+        let mut rng_a = StdRng::seed_from_u64(qi as u64);
+        let mut rng_b = StdRng::seed_from_u64(qi as u64);
+        let a = index.search(ds.query(qi), 10, 40, &mut rng_a);
+        let b = loaded.search(ds.query(qi), 10, 40, &mut rng_b);
+        let bits = |n: &[(u32, f32)]| -> Vec<(u32, u32)> {
+            n.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+        };
+        assert_eq!(bits(&a.neighbors), bits(&b.neighbors), "query {qi}");
+        assert_eq!((a.n_estimated, a.n_reranked), (b.n_estimated, b.n_reranked));
     }
 }
 
