@@ -46,10 +46,10 @@
 //! quarantines; under `serve` the live journal (seals, compactions,
 //! slow queries, read-only flips) is served by `/stats` instead.
 //!
-//! `collection-search` also exposes the parallel read path:
-//! `--threads N` (N > 1) switches to the batch engine (`search_many`),
-//! which distributes whole queries over `N` workers with per-(query,
-//! segment) seeded RNGs — results are bit-identical for every such `N`.
+//! `collection-search` runs the whole query file as one batch
+//! (`search_many`): `--threads N` spreads whole queries over up to `N`
+//! threads of the shared worker pool, and per-query seeded RNGs make the
+//! results bit-identical for every `N`, `1` included.
 //!
 //! The library surface (`run`) is process-free so the whole pipeline is
 //! exercised by integration tests.
@@ -140,7 +140,7 @@ pub fn usage() -> String {
          \x20 verify             read-only scrub: checksum every segment,\n\
          \x20                    scan the WAL, list quarantined/orphan files\n\
          \x20 collection-search  query a collection (memtable + segments);\n\
-         \x20                    --threads N for parallel (batch) reads\n\
+         \x20                    --threads N spreads the batch over N threads\n\
          \x20 serve              HTTP front end over a collection (JSON API,\n\
          \x20                    one search per connection worker, 503 when\n\
          \x20                    the connection backlog is full);\n\
@@ -679,41 +679,31 @@ fn cmd_collection_search(flags: &Flags) -> Result<(), String> {
     let threads = flags.usize_or("threads", 1)?;
     let nq = queries.len() / qdim;
 
+    // One search_many call over the whole query file: per-query seeded
+    // RNGs make the neighbour file the same at every thread count.
     let mut sw = Stopwatch::new();
-    let mut all_ids: Vec<i32> = Vec::with_capacity(nq * k);
-    let mut per_query_ids: Vec<Vec<u32>> = Vec::with_capacity(nq);
-    // One place turns a result into the padded id row, so the two
-    // execution modes can never diverge in output format.
-    let mut record = |res: rabitq_ivf::SearchResult| {
-        let mut ids: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
-        ids.resize(k, u32::MAX);
-        all_ids.extend(ids.iter().map(|&id| id as i32));
-        per_query_ids.push(ids);
-    };
-    let snapshot = collection.snapshot();
-    let mode;
-    if threads > 1 {
-        // Batch engine: one search_many call over the whole query file,
-        // queries distributed across the worker pool.
-        mode = format!("batch x{threads}");
-        sw.start();
-        let opts = ParallelOptions { threads, seed };
-        let results = snapshot.search_many(&queries, k, nprobe, opts);
-        sw.stop();
-        results.into_iter().for_each(&mut record);
-    } else {
-        mode = "serial".to_string();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for q in queries.chunks_exact(qdim) {
-            sw.start();
-            let res = snapshot.search(q, k, nprobe, &mut rng);
-            sw.stop();
-            record(res);
-        }
-    }
+    sw.start();
+    let results =
+        collection
+            .snapshot()
+            .search_many(&queries, k, nprobe, ParallelOptions { threads, seed });
+    sw.stop();
+    let per_query_ids: Vec<Vec<u32>> = results
+        .into_iter()
+        .map(|res| {
+            let mut ids: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
+            ids.resize(k, u32::MAX);
+            ids
+        })
+        .collect();
+    let all_ids: Vec<i32> = per_query_ids
+        .iter()
+        .flatten()
+        .map(|&id| id as i32)
+        .collect();
     println!(
         "searched {nq} queries over {} segments + memtable ({} live): \
-         k = {k}, nprobe = {nprobe}, {mode}, {:.0} QPS",
+         k = {k}, nprobe = {nprobe}, {threads} thread(s), {:.0} QPS",
         collection.n_segments(),
         collection.len(),
         sw.per_second(nq as u64)
@@ -1202,10 +1192,10 @@ mod tests {
         ]))
         .unwrap();
 
-        // Same seed, different worker counts: the batch engine must emit
-        // bit-identical neighbor files.
+        // Same seed, different thread counts, one thread included: the
+        // batch engine must emit bit-identical neighbor files.
         let mut outputs = Vec::new();
-        for threads in ["2", "4"] {
+        for threads in ["1", "2", "4"] {
             let out = dir.join(format!("res-{threads}.ivecs"));
             run(&args(&[
                 "collection-search",
@@ -1226,6 +1216,7 @@ mod tests {
             outputs.push(io::read_ivecs(&out).unwrap());
         }
         assert_eq!(outputs[0], outputs[1]);
+        assert_eq!(outputs[0], outputs[2]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Recall and average-distance-ratio metrics (Section 5.1) need the true
 //! top-K per query. A bounded max-heap per query keeps the scan O(N·D +
-//! N·log K); queries are distributed over worker threads.
+//! N·log K); queries are fanned out over the shared worker pool.
 
-use rabitq_math::vecs;
+use rabitq_math::{pool, vecs};
 use std::cmp::Ordering;
 
 /// The exact top-K of one query: `(index, squared distance)` ascending.
@@ -33,7 +33,8 @@ impl Ord for HeapItem {
 /// Computes the exact `k` nearest base vectors for every query.
 ///
 /// `data` is flat `n × dim`, `queries` flat `nq × dim`. Returns one sorted
-/// neighbor list per query. `threads = 1` disables threading.
+/// neighbor list per query, using up to `threads` threads of the shared
+/// [`pool`] (`1` disables threading).
 pub fn exact_knn(
     data: &[f32],
     dim: usize,
@@ -44,32 +45,9 @@ pub fn exact_knn(
     assert!(dim > 0, "dim must be positive");
     assert!(data.len().is_multiple_of(dim), "data shape");
     assert!(queries.len().is_multiple_of(dim), "queries shape");
-    let nq = queries.len() / dim;
-    let mut out: Vec<Neighbors> = vec![Vec::new(); nq];
-    if nq == 0 {
-        return out;
-    }
-    let threads = threads.max(1).min(nq);
-    let chunk = nq.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut remaining: &mut [Neighbors] = &mut out;
-        for t in 0..threads {
-            let start = t * chunk;
-            if start >= nq {
-                break;
-            }
-            let rows = chunk.min(nq - start);
-            let (mine, rest) = remaining.split_at_mut(rows);
-            remaining = rest;
-            let queries_chunk = &queries[start * dim..(start + rows) * dim];
-            scope.spawn(move || {
-                for (q, slot) in queries_chunk.chunks_exact(dim).zip(mine.iter_mut()) {
-                    *slot = knn_single(data, dim, q, k);
-                }
-            });
-        }
-    });
-    out
+    pool::map(queries.len() / dim, threads, |qi| {
+        knn_single(data, dim, &queries[qi * dim..(qi + 1) * dim], k)
+    })
 }
 
 /// Exact top-K for a single query.

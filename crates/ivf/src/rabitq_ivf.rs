@@ -36,7 +36,7 @@ use crate::cancel::CancelToken;
 use crate::common::{IvfConfig, RerankStrategy, SearchResult, TopK};
 use rabitq_core::{CodeSet, DistanceEstimate, PackedCodes, QueryScratch, Rabitq, RabitqConfig};
 use rabitq_kmeans::{train as kmeans_train, KMeans, KMeansConfig};
-use rabitq_math::vecs;
+use rabitq_math::{pool, vecs};
 use rabitq_metrics::{Stage, StageNanos};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -258,8 +258,8 @@ impl IvfRabitq {
         let coarse = kmeans_train(data, dim, &km_cfg);
 
         // Assign and encode per bucket. Encoding dominates the build (one
-        // rotation per vector), so buckets are distributed over the
-        // configured worker threads.
+        // rotation per vector), so buckets are fanned out over the shared
+        // pool.
         let assignment = coarse.assign_all(data, ivf.threads);
         let mut ids_per_bucket: Vec<Vec<u32>> = vec![Vec::new(); coarse.k()];
         for (i, &c) in assignment.iter().enumerate() {
@@ -279,10 +279,10 @@ impl IvfRabitq {
             ),
         };
         let rotated_centre = quantizer.rotate(&centre);
-        let encode_bucket = |c: usize, ids: Vec<u32>| -> Bucket {
-            let centroid = coarse.centroid(c);
+        let buckets = pool::map(coarse.k(), ivf.threads, |c| {
+            let (centroid, ids) = (coarse.centroid(c), &ids_per_bucket[c]);
             let mut codes = quantizer.new_code_set();
-            for &id in &ids {
+            for &id in ids {
                 quantizer.encode_into(
                     &data[id as usize * dim..(id as usize + 1) * dim],
                     centroid,
@@ -293,50 +293,12 @@ impl IvfRabitq {
             let mut offsets = Vec::new();
             centre_offsets(&quantizer, centroid, &rotated_centre, &codes, &mut offsets);
             Bucket {
-                ids,
+                ids: ids.clone(),
                 codes,
                 packed,
                 offsets,
             }
-        };
-        let buckets: Vec<Bucket> = if ivf.threads <= 1 || coarse.k() < 2 {
-            ids_per_bucket
-                .into_iter()
-                .enumerate()
-                .map(|(c, ids)| encode_bucket(c, ids))
-                .collect()
-        } else {
-            // Round-robin bucket batches across threads; order restored by
-            // indexed writes.
-            let jobs: Vec<(usize, Vec<u32>)> = ids_per_bucket.into_iter().enumerate().collect();
-            let mut slots: Vec<Option<Bucket>> = (0..jobs.len()).map(|_| None).collect();
-            let threads = ivf.threads.min(jobs.len());
-            std::thread::scope(|scope| {
-                let mut remaining_jobs: &[(usize, Vec<u32>)] = &jobs;
-                let mut remaining_slots: &mut [Option<Bucket>] = &mut slots;
-                let per = jobs.len().div_ceil(threads);
-                for _ in 0..threads {
-                    let take = per.min(remaining_jobs.len());
-                    if take == 0 {
-                        break;
-                    }
-                    let (my_jobs, rest_jobs) = remaining_jobs.split_at(take);
-                    remaining_jobs = rest_jobs;
-                    let (my_slots, rest_slots) = remaining_slots.split_at_mut(take);
-                    remaining_slots = rest_slots;
-                    let encode_ref = &encode_bucket;
-                    scope.spawn(move || {
-                        for ((c, ids), slot) in my_jobs.iter().zip(my_slots.iter_mut()) {
-                            *slot = Some(encode_ref(*c, ids.clone()));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|b| b.expect("every bucket encoded"))
-                .collect()
-        };
+        });
 
         Self {
             dim,

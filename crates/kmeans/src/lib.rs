@@ -25,7 +25,7 @@
 //! the full scan's to the bit. [`KMeans::assign`], [`KMeans::assign_all`]
 //! and [`train`] are not screened.
 
-use rabitq_math::{simd, vecs};
+use rabitq_math::{pool, simd, vecs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,9 +41,8 @@ pub struct KMeansConfig {
     /// If set, train on at most this many points sampled without
     /// replacement; the final model still assigns all points.
     pub training_sample: Option<usize>,
-    /// Number of worker threads for the assignment step. `1` disables
-    /// threading. Values above the machine's parallelism are clamped by the
-    /// OS scheduler, not by us.
+    /// Threads for the assignment step. `1` disables threading. The shared
+    /// [`pool`] caps values above the machine's parallelism.
     pub threads: usize,
     /// Convergence threshold on the relative objective improvement.
     pub tol: f64,
@@ -371,34 +370,12 @@ impl KMeans {
     }
 
     /// Assigns every row of `data` (flat `n × dim`) to its nearest centroid,
-    /// using up to `threads` worker threads.
+    /// using up to `threads` threads of the shared [`pool`].
     pub fn assign_all(&self, data: &[f32], threads: usize) -> Vec<u32> {
-        let n = data.len() / self.dim;
-        let mut out = vec![0u32; n];
-        if n == 0 {
-            return out;
-        }
-        let threads = threads.max(1).min(n);
-        let chunk_rows = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut remaining: &mut [u32] = &mut out;
-            for t in 0..threads {
-                let start = t * chunk_rows;
-                if start >= n {
-                    break;
-                }
-                let rows = chunk_rows.min(n - start);
-                let (mine, rest) = remaining.split_at_mut(rows);
-                remaining = rest;
-                let data_chunk = &data[start * self.dim..(start + rows) * self.dim];
-                scope.spawn(move || {
-                    for (row, slot) in data_chunk.chunks_exact(self.dim).zip(mine.iter_mut()) {
-                        *slot = self.assign(row).0 as u32;
-                    }
-                });
-            }
-        });
-        out
+        let dim = self.dim;
+        pool::map(data.len() / dim, threads, |i| {
+            self.assign(&data[i * dim..(i + 1) * dim]).0 as u32
+        })
     }
 }
 
@@ -456,44 +433,14 @@ pub fn train(data: &[f32], dim: usize, config: &KMeansConfig) -> KMeans {
 
     for iter in 0..config.max_iters {
         iterations = iter + 1;
-        // Assignment step (threaded over the training sample).
+        // Assignment step: fanned out over the training sample, then one
+        // serial pass in row order, so the objective is bit-identical at
+        // every thread count.
+        let nearest_all = pool::map(tn, config.threads, |i| nearest(&centroids, dim, row(i)));
         let mut new_objective = 0.0f64;
-        if config.threads <= 1 || tn < 1024 {
-            for (i, slot) in assignment.iter_mut().enumerate().take(tn) {
-                let (c, d) = nearest(&centroids, dim, row(i));
-                *slot = c as u32;
-                new_objective += d as f64;
-            }
-        } else {
-            let threads = config.threads.min(tn);
-            let chunk = tn.div_ceil(threads);
-            let partials: Vec<f64> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                let mut remaining: &mut [u32] = &mut assignment;
-                for t in 0..threads {
-                    let start = t * chunk;
-                    if start >= tn {
-                        break;
-                    }
-                    let rows = chunk.min(tn - start);
-                    let (mine, rest) = remaining.split_at_mut(rows);
-                    remaining = rest;
-                    let centroids = &centroids;
-                    let sample_ref = &sample_indices;
-                    handles.push(scope.spawn(move || {
-                        let mut local = 0.0f64;
-                        for (off, slot) in mine.iter_mut().enumerate() {
-                            let gi = sample_ref[start + off];
-                            let (c, d) = nearest(centroids, dim, &data[gi * dim..gi * dim + dim]);
-                            *slot = c as u32;
-                            local += d as f64;
-                        }
-                        local
-                    }));
-                }
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            new_objective = partials.into_iter().sum();
+        for (slot, (c, d)) in assignment.iter_mut().zip(nearest_all) {
+            *slot = c as u32;
+            new_objective += d as f64;
         }
         new_objective /= tn as f64;
 
@@ -715,9 +662,8 @@ mod tests {
 
     #[test]
     fn threaded_lloyd_matches_single_threaded() {
-        // ≥ 1 024 training rows with threads > 1 take the threaded
-        // assignment step; its per-chunk objective partials must add up
-        // to the serial sum, and its centroids to the serial ones.
+        // With threads > 1 the assignment step runs on the pool; its
+        // objective and centroids must equal the serial ones to the bit.
         let (n, dim) = (3_000, 16);
         let mut rng = StdRng::seed_from_u64(7);
         let data = rabitq_math::rng::standard_normal_vec(&mut rng, n * dim);

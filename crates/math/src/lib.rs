@@ -2,9 +2,9 @@
 //!
 //! This crate deliberately implements everything the rest of the workspace
 //! needs from first principles — vector kernels (with every SIMD kernel of
-//! the workspace, fast scan included, under one dispatch in [`simd`]), a
-//! small row-major matrix
-//! type, orthogonalization, polar decomposition (for the OPQ Procrustes
+//! the workspace, fast scan included, under one dispatch in [`simd`]), the
+//! one worker pool every parallel fan-out runs on ([`pool`]), a small
+//! row-major matrix type, orthogonalization, polar decomposition (for the OPQ Procrustes
 //! step), the fast Walsh–Hadamard transform, Gaussian sampling and the
 //! special functions used by the paper's closed-form expectations — so that
 //! the reproduction has no dependency on external BLAS/LAPACK.
@@ -20,6 +20,7 @@ pub mod hadamard;
 pub mod matrix;
 pub mod orthogonal;
 pub mod polar;
+pub mod pool;
 pub mod rng;
 pub mod simd;
 pub mod special;

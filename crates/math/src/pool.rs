@@ -1,12 +1,12 @@
-//! A persistent, shared worker pool for parallel query execution.
+//! One persistent, process-wide worker pool for every fan-out of the
+//! workspace: k-means assignment, the per-bucket IVF encode, exact ground
+//! truth and batch search all run through [`map`].
 //!
-//! The first cut of [`crate::Snapshot::search_many`] spawned scoped
-//! threads per call, so every batch paid thread startup — measurably flat
-//! multi-thread scaling on short batches (the perf ledger's
-//! `store.mt_speedup` row). This pool replaces that: worker threads are
-//! created **once** per process (lazily, on first parallel call) and park
-//! on a condvar between jobs, so dispatching a batch costs one mutex push
-//! plus wake-ups instead of N `clone`+`spawn`+`join` cycles.
+//! The pool exists because a batch of short tasks cannot afford thread
+//! start-up: worker threads are created **once** per process (lazily, on
+//! the first parallel call) and park on a condvar between jobs, so
+//! dispatching a job costs one mutex push plus wake-ups, and each
+//! worker's thread-local scratch stays warm from one job to the next.
 //!
 //! ## Job model
 //!
@@ -15,16 +15,16 @@
 //! construction: a slow item never strands work behind a static
 //! partition). The **submitting thread always participates** — it claims
 //! items like any worker — so a job makes progress even when every pool
-//! worker is busy with other jobs, and a pool of size zero degenerates to
-//! a serial loop. `max_helpers` bounds how many pool workers may join,
-//! which is how callers express a thread budget (`ParallelOptions::threads`)
-//! against a shared, fixed-size pool.
+//! worker is busy with other jobs (a task may itself call [`map`]), and a
+//! pool of size zero degenerates to a serial loop. `max_helpers` bounds
+//! how many pool workers may join, which is how callers express a thread
+//! budget against a shared, fixed-size pool.
 //!
 //! ## Safety
 //!
 //! The task closure is borrowed, type-erased, and handed to workers as a
 //! raw pointer. The invariant making that sound is the same one scoped
-//! threads rely on: [`WorkerPool::run`] does not return until every item
+//! threads rely on: `WorkerPool::run` does not return until every item
 //! has finished, and workers only dereference the pointer after claiming
 //! an in-range item — once all items are claimed, late workers observe
 //! `next >= n` and drop the job without touching the closure.
@@ -98,15 +98,14 @@ struct Shared {
 }
 
 /// A fixed set of persistent worker threads executing submitted fan-outs.
-pub struct WorkerPool {
+struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    size: usize,
 }
 
 impl WorkerPool {
     /// Spawns a pool with `size` parked worker threads.
-    pub fn new(size: usize) -> Self {
+    fn new(size: usize) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
@@ -123,27 +122,18 @@ impl WorkerPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        Self {
-            shared,
-            handles,
-            size,
-        }
+        Self { shared, handles }
     }
 
-    /// The process-wide pool used by the parallel search paths: sized to
-    /// the machine minus one (the submitting thread participates), created
-    /// on first use, and never torn down.
-    pub fn global() -> &'static WorkerPool {
+    /// The process-wide pool behind [`map`]: sized to the machine minus
+    /// one (the submitting thread participates), created on first use, and
+    /// never torn down.
+    fn global() -> &'static WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
         POOL.get_or_init(|| {
             let cores = std::thread::available_parallelism().map_or(2, |p| p.get());
             WorkerPool::new(cores.saturating_sub(1).max(1))
         })
-    }
-
-    /// Worker threads in this pool.
-    pub fn size(&self) -> usize {
-        self.size
     }
 
     /// Runs `task(i)` for every `i in 0..n`, each exactly once, with up to
@@ -155,11 +145,11 @@ impl WorkerPool {
     ///
     /// # Panics
     /// Panics if any task invocation panicked (after all items finish).
-    pub fn run(&self, n: usize, max_helpers: usize, task: impl Fn(usize) + Sync) {
+    fn run(&self, n: usize, max_helpers: usize, task: impl Fn(usize) + Sync) {
         if n == 0 {
             return;
         }
-        let max_helpers = max_helpers.min(self.size).min(n.saturating_sub(1));
+        let max_helpers = max_helpers.min(self.handles.len()).min(n - 1);
         if max_helpers == 0 {
             for i in 0..n {
                 task(i);
@@ -203,7 +193,7 @@ impl WorkerPool {
         }
         assert!(
             !job.panicked.load(Ordering::Relaxed),
-            "a parallel search task panicked"
+            "a pool task panicked"
         );
     }
 }
@@ -219,6 +209,32 @@ impl Drop for WorkerPool {
             handle.join().ok();
         }
     }
+}
+
+/// Returns `[f(0), f(1), …, f(n − 1)]`, computed by up to `threads`
+/// participants of the process-wide pool (the caller included; the pool
+/// caps the rest at the machine's parallelism). With `threads <= 1` or
+/// `n <= 1` it is a plain loop on the calling thread and never touches
+/// the pool. Items are claimed dynamically, so `f` must make its result
+/// depend only on the index for the output to be the same at every
+/// thread count.
+///
+/// # Panics
+/// Panics if any call of `f` panicked.
+pub fn map<T: Send + Sync>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if threads <= 1 || n <= 1 {
+        return (0..n).map(f).collect();
+    }
+    // Write-once slots: the pool claims each index exactly once, and its
+    // completion barrier orders every write before the reads below.
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    WorkerPool::global().run(n, threads - 1, |i| {
+        assert!(slots[i].set(f(i)).is_ok(), "item {i} claimed twice");
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every slot filled"))
+        .collect()
 }
 
 fn worker_loop(shared: &Shared) {
@@ -313,5 +329,23 @@ mod tests {
             sum.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn map_equals_the_serial_map_at_every_thread_count() {
+        let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 7;
+        for n in [0, 1, 100] {
+            let want: Vec<u64> = (0..n).map(f).collect();
+            for threads in [1, 2, 4] {
+                assert_eq!(map(n, threads, f), want, "n={n} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_nested_inside_a_pool_task_completes() {
+        let sums = map(8, 4, |i| map(50, 4, |j| (i * j) as u64).iter().sum::<u64>());
+        let want: Vec<u64> = (0..8u64).map(|i| i * (49 * 50 / 2)).collect();
+        assert_eq!(sums, want);
     }
 }

@@ -7,10 +7,10 @@
 //! and engine:
 //!
 //! - **One search path**: each search runs on the connection worker that
-//!   parsed it, as one [`Snapshot::search_many_cancellable`] call with a
-//!   single query and a single cancellation token. The paper's search
-//!   answers one query at a time, and a CPU batch shares no work between
-//!   its queries, so there is no queue between socket and engine.
+//!   parsed it, as one [`Snapshot::search_cancellable`] call with one
+//!   cancellation token. The paper's search answers one query at a time,
+//!   and a CPU batch shares no work between its queries, so there is no
+//!   queue between socket and engine.
 //! - **Admission control** at the connection edge: at most `workers`
 //!   requests are in flight, and accepted connections beyond
 //!   `conn_backlog` are answered `503` at once instead of queueing into
@@ -19,7 +19,7 @@
 //!   answer their in-flight request, connections still waiting for a
 //!   worker are answered `503`, then threads join.
 //!
-//! [`Snapshot::search_many_cancellable`]: rabitq_store::Snapshot::search_many_cancellable
+//! [`Snapshot::search_cancellable`]: rabitq_store::Snapshot::search_cancellable
 //!
 //! ## Quick start
 //!

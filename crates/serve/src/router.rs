@@ -11,9 +11,8 @@
 //! | `/search`, `/insert`, `/delete` | POST | as above | against the default collection |
 //!
 //! A search runs on the connection worker that parsed it, as one
-//! `search_many_cancellable` call with one query and one token, always
-//! with the same seed: the same request gets the same answer, bit for
-//! bit.
+//! `Snapshot::search_cancellable` call with one token, always with the
+//! same seed: the same request gets the same answer, bit for bit.
 //!
 //! `"timeout_ms"` sets the search's end-to-end deadline, measured from
 //! [`Request::received`] (default `ServeConfig::default_timeout_ms`,
@@ -36,7 +35,7 @@ use crate::server::{ServedCollection, ServerState};
 use rabitq_core::hw;
 use rabitq_ivf::SearchResult;
 use rabitq_metrics::{EventJournal, PromEncoder, Stage, StageNanos};
-use rabitq_store::{CancelToken, ParallelOptions, SearchOutcome, StoreMetrics};
+use rabitq_store::{CancelToken, StoreMetrics};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -511,15 +510,13 @@ fn search(state: &ServerState, served: &ServedCollection, req: &Request) -> Resp
             .metrics
             .expired_in_queue
             .fetch_add(1, Ordering::Relaxed);
-        SearchOutcome::Cancelled
+        None
     } else {
         let outcome = served
             .reader
             .snapshot()
-            .search_many_cancellable(&query, k, nprobe, ParallelOptions::serial(), &[token])
-            .pop()
-            .expect("one query, one outcome");
-        if outcome.is_cancelled() {
+            .search_cancellable(&query, k, nprobe, &token);
+        if outcome.is_none() {
             state
                 .metrics
                 .cancelled_mid_scan
@@ -528,7 +525,7 @@ fn search(state: &ServerState, served: &ServedCollection, req: &Request) -> Resp
         outcome
     };
     let elapsed = req.received.elapsed();
-    let SearchOutcome::Done(result) = outcome else {
+    let Some(result) = outcome else {
         state
             .metrics
             .deadline_exceeded

@@ -10,7 +10,7 @@
 //!    worker 0    worker 1 …  worker W-1     (keep-alive request loops)
 //!        │ search     │ insert/delete
 //!        ▼            ▼
-//!  Snapshot::search_many_cancellable   Mutex<Collection> (writers only)
+//!  Snapshot::search_cancellable        Mutex<Collection> (writers only)
 //! ```
 //!
 //! A search runs on the worker that parsed it and never touches the

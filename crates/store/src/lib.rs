@@ -11,7 +11,6 @@
 //! | [`memtable`] | fresh writes in `Arc`'d row chunks: exact-scan search, cheap clones shared by the writer and every snapshot |
 //! | [`segment`] | sealed IVF-RaBitQ index + global-id remap |
 //! | [`snapshot`] | immutable point-in-time views, parallel fan-out, batch search |
-//! | [`pool`] | persistent process-wide worker threads behind the parallel paths |
 //! | [`manifest`] | atomic (temp + rename) record of the live segment set |
 //! | [`compaction`] | threshold policy: dead-weight and fan-out pressure |
 //! | [`observe`] | operational counters, duration histograms, event journal |
@@ -21,8 +20,9 @@
 //!
 //! Reads are concurrent with writes: every mutation publishes an
 //! immutable [`Snapshot`], readers search that frozen state, and
-//! [`Snapshot::search_many`] fans a query batch over a scoped worker pool
-//! with bit-identical results at every thread count. A [`Collection`] is
+//! [`Snapshot::search_many`] fans a query batch over the persistent worker
+//! pool of `rabitq_math::pool` with bit-identical results at every thread
+//! count. A [`Collection`] is
 //! the writer and has no search methods of its own: queries go through
 //! [`Collection::snapshot`] or a detached [`CollectionReader`] from
 //! [`Collection::reader`], which always searches the latest snapshot and
@@ -66,7 +66,6 @@ pub mod io;
 pub mod manifest;
 pub mod memtable;
 pub mod observe;
-pub mod pool;
 pub mod segment;
 pub mod snapshot;
 pub mod wal;
@@ -78,8 +77,7 @@ pub use io::{atomic_write, disk_io, DiskIo, FaultIo, FaultKind, FaultScript, Log
 pub use manifest::{Manifest, SegmentMeta, MANIFEST_FILE};
 pub use memtable::Memtable;
 pub use observe::StoreMetrics;
-pub use pool::WorkerPool;
 pub use rabitq_ivf::CancelToken;
 pub use segment::Segment;
-pub use snapshot::{CollectionReader, ParallelOptions, SearchOutcome, Snapshot};
+pub use snapshot::{CollectionReader, ParallelOptions, Snapshot};
 pub use wal::{Wal, WalRecord, WalReplay};

@@ -34,11 +34,12 @@
 //! under that plan into the same top-K, and drain it. The memtable's exact
 //! distances and each segment's re-ranked rows tighten the error-bound
 //! threshold for every later segment. [`Snapshot::search`] feeds the plan
-//! the caller's RNG; [`Snapshot::search_many`] and
-//! [`Snapshot::search_many_cancellable`] derive one RNG per query from a
-//! caller seed, `task_seed(seed, query)`, and fan the *queries* out over
-//! the process-wide persistent [`WorkerPool`] — threads are created once
-//! and parked between calls, so a batch never pays thread startup. The
+//! the caller's RNG; [`Snapshot::search_cancellable`] and
+//! [`Snapshot::search_many`] derive one RNG per query from a seed,
+//! `task_seed(seed, query)`, and `search_many` fans the *queries* out over
+//! the process-wide persistent pool of [`rabitq_math::pool`] — threads are
+//! created once and parked between calls, so a batch never pays thread
+//! startup. The
 //! thread-local scratch is reused across queries *and* across batches,
 //! which keeps the steady state allocation-free apart from the returned
 //! neighbor list, and the per-query seeding makes batch results
@@ -49,15 +50,15 @@ use crate::error::HealthReport;
 use crate::error::HealthState;
 use crate::memtable::Memtable;
 use crate::observe::StoreMetrics;
-use crate::pool::WorkerPool;
 use crate::segment::Segment;
 use rabitq_core::RabitqConfig;
 use rabitq_ivf::{CancelToken, SearchResult, SearchScratch};
+use rabitq_math::pool;
 use rabitq_metrics::Stage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// Nanoseconds since `t0`, saturated to `u64` (the stage-trace unit).
@@ -75,8 +76,8 @@ thread_local! {
 /// Thread-count and determinism knobs for the batch search paths.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelOptions {
-    /// Worker threads (clamped to the available work; `0` and `1` both
-    /// mean serial).
+    /// Worker threads (clamped to the available work and, by the shared
+    /// pool, to the machine's parallelism; `0` and `1` both mean serial).
     pub threads: usize,
     /// Seed from which every query's RNG is derived. Two runs with the
     /// same seed return bit-identical results regardless of `threads`.
@@ -103,35 +104,6 @@ impl ParallelOptions {
         Self {
             threads,
             ..Self::default()
-        }
-    }
-}
-
-/// How one query of a cancellable batch ended: with a result, or
-/// abandoned at a cancellation checkpoint. Cancellation is per query —
-/// one expired deadline never poisons its batchmates, whose outcomes
-/// (and bits) are identical to an all-healthy batch thanks to the
-/// per-query RNG seeding.
-#[derive(Debug)]
-pub enum SearchOutcome {
-    /// The query ran to completion.
-    Done(SearchResult),
-    /// The query's token cancelled mid-scan; partial candidates were
-    /// discarded (never returned).
-    Cancelled,
-}
-
-impl SearchOutcome {
-    /// Whether this query was abandoned.
-    pub fn is_cancelled(&self) -> bool {
-        matches!(self, SearchOutcome::Cancelled)
-    }
-
-    /// The completed result, if any.
-    pub fn into_result(self) -> Option<SearchResult> {
-        match self {
-            SearchOutcome::Done(res) => Some(res),
-            SearchOutcome::Cancelled => None,
         }
     }
 }
@@ -206,14 +178,34 @@ impl Snapshot {
             .expect("a never-cancelling token cannot cancel")
     }
 
+    /// [`Snapshot::search`] with cooperative cancellation, for one query
+    /// under one deadline: a search whose token cancels (deadline passed,
+    /// client gone) bails at the next probed-bucket or segment boundary
+    /// and yields `None`, never a partial answer. The plan draws from the
+    /// RNG of query 0 under the default seed, so an uncancelled answer is
+    /// bit-identical to `search_many(query, k, nprobe,
+    /// ParallelOptions::serial())[0]`.
+    pub fn search_cancellable(
+        &self,
+        query: &[f32],
+        k: usize,
+        nprobe: usize,
+        cancel: &CancelToken,
+    ) -> Option<SearchResult> {
+        assert_eq!(query.len(), self.dim, "query dimensionality");
+        let mut rng = StdRng::seed_from_u64(task_seed(ParallelOptions::default().seed, 0));
+        self.search_one(query, k, nprobe, &mut rng, cancel)
+    }
+
     /// Batch search: `queries` is a flat `n × dim` buffer; returns one
-    /// [`SearchResult`] per query, in query order. Queries are claimed
-    /// dynamically by up to `opts.threads` participants of the persistent
-    /// [`WorkerPool`] (submitter included), each reusing its thread-local
-    /// [`SearchScratch`] across all queries, segments, and batches — the
-    /// allocation-free path without per-call thread startup. Results are
-    /// bit-identical for every thread count (per-query seeded RNGs,
-    /// segments scanned in order).
+    /// [`SearchResult`] per query, in query order. Each query's plan draws
+    /// from its own RNG derived from `(opts.seed, query)`. Queries are
+    /// claimed dynamically by up to `opts.threads` participants of the
+    /// shared pool ([`rabitq_math::pool::map`], submitter included), each
+    /// reusing its thread-local [`SearchScratch`] across all queries,
+    /// segments, and batches — the allocation-free path without per-call
+    /// thread startup. Results are bit-identical for every thread count
+    /// (per-query seeded RNGs, segments scanned in order).
     pub fn search_many(
         &self,
         queries: &[f32],
@@ -221,80 +213,15 @@ impl Snapshot {
         nprobe: usize,
         opts: ParallelOptions,
     ) -> Vec<SearchResult> {
-        self.run_batch(queries, k, nprobe, opts, None)
-            .into_iter()
-            .map(|res| res.expect("a never-cancelling token cannot cancel"))
-            .collect()
-    }
-
-    /// [`Snapshot::search_many`] with per-query cooperative cancellation:
-    /// `tokens[qi]` guards query `qi` alone. A query whose token cancels
-    /// (deadline passed, client gone) bails at the next probed-bucket or
-    /// segment boundary and yields [`SearchOutcome::Cancelled`]; its
-    /// batchmates are untouched — their results are bit-identical to an
-    /// all-healthy [`Snapshot::search_many`] run with the same seed,
-    /// because every query derives its own RNG.
-    pub fn search_many_cancellable(
-        &self,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        opts: ParallelOptions,
-        tokens: &[CancelToken],
-    ) -> Vec<SearchOutcome> {
-        assert_eq!(
-            tokens.len(),
-            queries.len() / self.dim,
-            "one token per query"
-        );
-        self.run_batch(queries, k, nprobe, opts, Some(tokens))
-            .into_iter()
-            .map(|res| res.map_or(SearchOutcome::Cancelled, SearchOutcome::Done))
-            .collect()
-    }
-
-    /// The batch dispatch shared by [`Snapshot::search_many`] and
-    /// [`Snapshot::search_many_cancellable`]: runs the search core for
-    /// every query of the flat `n × dim` buffer, each query's plan drawing
-    /// from its own RNG derived from `(opts.seed, query)`, and
-    /// returns the outcomes in query order (`None` = that query's token
-    /// cancelled; without `tokens` nothing can). Inline when one thread is
-    /// asked for or there is one query, otherwise claimed dynamically by
-    /// up to `opts.threads` participants of the [`WorkerPool`].
-    fn run_batch(
-        &self,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        opts: ParallelOptions,
-        tokens: Option<&[CancelToken]>,
-    ) -> Vec<Option<SearchResult>> {
         assert!(
             queries.len().is_multiple_of(self.dim),
             "queries buffer must be n × dim"
         );
-        let n = queries.len() / self.dim;
-        let never = CancelToken::none();
-        let one = |qi: usize| {
+        pool::map(queries.len() / self.dim, opts.threads, |qi| {
             let query = &queries[qi * self.dim..(qi + 1) * self.dim];
-            let cancel = tokens.map_or(&never, |tokens| &tokens[qi]);
             let mut rng = StdRng::seed_from_u64(task_seed(opts.seed, qi));
-            self.search_one(query, k, nprobe, &mut rng, cancel)
-        };
-        let threads = opts.threads.max(1).min(n);
-        if threads <= 1 {
-            return (0..n).map(one).collect();
-        }
-        // Write-once slots: the pool claims each `qi` exactly once, and its
-        // completion barrier orders every write before the reads below.
-        let slots: Vec<OnceLock<Option<SearchResult>>> = (0..n).map(|_| OnceLock::new()).collect();
-        WorkerPool::global().run(n, threads - 1, |qi| {
-            assert!(slots[qi].set(one(qi)).is_ok(), "query {qi} claimed twice");
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every slot filled"))
-            .collect()
+            self.search(query, k, nprobe, &mut rng)
+        })
     }
 
     /// The one search core, through this thread's [`SearchScratch`]: the
