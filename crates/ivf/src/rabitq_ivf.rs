@@ -279,10 +279,10 @@ impl IvfRabitq {
             ),
         };
         let rotated_centre = quantizer.rotate(&centre);
-        let buckets = pool::map(coarse.k(), ivf.threads, |c| {
-            let (centroid, ids) = (coarse.centroid(c), &ids_per_bucket[c]);
+        let encoded = pool::map(coarse.k(), ivf.threads, |c| {
+            let centroid = coarse.centroid(c);
             let mut codes = quantizer.new_code_set();
-            for &id in ids {
+            for &id in &ids_per_bucket[c] {
                 quantizer.encode_into(
                     &data[id as usize * dim..(id as usize + 1) * dim],
                     centroid,
@@ -292,13 +292,18 @@ impl IvfRabitq {
             let packed = quantizer.pack(&codes);
             let mut offsets = Vec::new();
             centre_offsets(&quantizer, centroid, &rotated_centre, &codes, &mut offsets);
-            Bucket {
-                ids: ids.clone(),
+            (codes, packed, offsets)
+        });
+        let buckets = ids_per_bucket
+            .into_iter()
+            .zip(encoded)
+            .map(|(ids, (codes, packed, offsets))| Bucket {
+                ids,
                 codes,
                 packed,
                 offsets,
-            }
-        });
+            })
+            .collect();
 
         Self {
             dim,

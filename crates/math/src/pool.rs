@@ -15,10 +15,9 @@
 //! construction: a slow item never strands work behind a static
 //! partition). The **submitting thread always participates** — it claims
 //! items like any worker — so a job makes progress even when every pool
-//! worker is busy with other jobs (a task may itself call [`map`]), and a
-//! pool of size zero degenerates to a serial loop. `max_helpers` bounds
-//! how many pool workers may join, which is how callers express a thread
-//! budget against a shared, fixed-size pool.
+//! worker is busy with other jobs (a task may itself call [`map`]).
+//! `max_helpers` bounds how many pool workers may join, which is how
+//! callers express a thread budget against a shared, fixed-size pool.
 //!
 //! ## Safety
 //!
@@ -143,19 +142,13 @@ impl WorkerPool {
     /// results depend only on the item index (the seeded-RNG discipline of
     /// the search paths).
     ///
+    /// Assumes `n >= 2`: [`map`] runs smaller jobs inline and never
+    /// reaches the pool with them.
+    ///
     /// # Panics
     /// Panics if any task invocation panicked (after all items finish).
     fn run(&self, n: usize, max_helpers: usize, task: impl Fn(usize) + Sync) {
-        if n == 0 {
-            return;
-        }
         let max_helpers = max_helpers.min(self.handles.len()).min(n - 1);
-        if max_helpers == 0 {
-            for i in 0..n {
-                task(i);
-            }
-            return;
-        }
         let task_ref: &(dyn Fn(usize) + Sync) = &task;
         // SAFETY: lifetime erasure justified in the module docs — `run`
         // blocks until `done == n`, after which no worker dereferences.
@@ -275,17 +268,6 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn zero_items_and_zero_helpers_work() {
-        let pool = WorkerPool::new(2);
-        pool.run(0, 2, |_| panic!("no items to run"));
-        let sum = AtomicU64::new(0);
-        pool.run(10, 0, |i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 45);
     }
 
     #[test]
