@@ -42,7 +42,7 @@ fn bench_graph_search(c: &mut Criterion) {
             let mut qi = 0usize;
             b.iter(|| {
                 qi = (qi + 1) % ds.n_queries();
-                graph.search_exact(ds.query(qi), k, ef).len()
+                graph.graph().search(ds.query(qi), k, ef).len()
             })
         });
     }

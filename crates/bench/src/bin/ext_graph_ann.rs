@@ -76,10 +76,10 @@ fn main() {
         for &ef in &ef_searches {
             let mut sw = Stopwatch::new();
             let mut results: Vec<Vec<u32>> = Vec::with_capacity(queries);
-            std::hint::black_box(graph.search_exact(ds.query(0), k, ef));
+            std::hint::black_box(graph.graph().search(ds.query(0), k, ef));
             for qi in 0..queries {
                 sw.start();
-                let res = graph.search_exact(ds.query(qi), k, ef);
+                let res = graph.graph().search(ds.query(qi), k, ef);
                 sw.stop();
                 results.push(res.iter().map(|&(id, _)| id).collect());
             }

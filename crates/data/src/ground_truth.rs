@@ -1,34 +1,14 @@
 //! Exact K-nearest-neighbor ground truth via threaded brute force.
 //!
 //! Recall and average-distance-ratio metrics (Section 5.1) need the true
-//! top-K per query. A bounded max-heap per query keeps the scan O(N·D +
-//! N·log K); queries are fanned out over the shared worker pool.
+//! top-K per query. A bounded [`TopK`] heap per query keeps the scan
+//! O(N·D + N·log K); queries are fanned out over the shared worker pool.
 
+use rabitq_math::topk::TopK;
 use rabitq_math::{pool, vecs};
-use std::cmp::Ordering;
 
 /// The exact top-K of one query: `(index, squared distance)` ascending.
 pub type Neighbors = Vec<(u32, f32)>;
-
-/// A max-heap entry ordered by distance (ties by index for determinism).
-#[derive(PartialEq)]
-struct HeapItem(f32, u32);
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .total_cmp(&other.0)
-            .then_with(|| self.1.cmp(&other.1))
-    }
-}
 
 /// Computes the exact `k` nearest base vectors for every query.
 ///
@@ -53,22 +33,11 @@ pub fn exact_knn(
 /// Exact top-K for a single query.
 pub fn knn_single(data: &[f32], dim: usize, query: &[f32], k: usize) -> Neighbors {
     let n = data.len() / dim;
-    let k = k.min(n);
-    let mut heap = std::collections::BinaryHeap::with_capacity(k + 1);
+    let mut top = TopK::new(k.min(n));
     for (i, row) in data.chunks_exact(dim).enumerate() {
-        let d = vecs::l2_sq(row, query);
-        if heap.len() < k {
-            heap.push(HeapItem(d, i as u32));
-        } else if let Some(top) = heap.peek() {
-            if d < top.0 {
-                heap.pop();
-                heap.push(HeapItem(d, i as u32));
-            }
-        }
+        top.push(i as u32, vecs::l2_sq(row, query));
     }
-    let mut result: Neighbors = heap.into_iter().map(|HeapItem(d, i)| (i, d)).collect();
-    result.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-    result
+    top.into_sorted()
 }
 
 #[cfg(test)]
@@ -121,6 +90,28 @@ mod tests {
         all.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
         all.truncate(7);
         assert_eq!(fast, all);
+    }
+
+    #[test]
+    fn duplicated_rows_return_the_smallest_ids() {
+        // Five distinct rows stored three times each (row i at ids i, i + 5
+        // and i + 10): every distance ties three ways, and each `k` cuts
+        // some tie group at the boundary.
+        let dim = 4;
+        let mut rng = StdRng::seed_from_u64(5);
+        let base = standard_normal_vec(&mut rng, 5 * dim);
+        let data = [base.as_slice(), &base, &base].concat();
+        let query = standard_normal_vec(&mut rng, dim);
+        let mut all: Vec<(u32, f32)> = data
+            .chunks_exact(dim)
+            .enumerate()
+            .map(|(i, row)| (i as u32, vecs::l2_sq(row, &query)))
+            .collect();
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        for k in 1..=all.len() {
+            let got = exact_knn(&data, dim, &query, k, 1);
+            assert_eq!(got[0], all[..k], "k = {k}");
+        }
     }
 
     #[test]

@@ -4,10 +4,9 @@
 use rabitq_core::{CodeSet, QuantizedQuery, Rabitq, RabitqConfig};
 use rabitq_hnsw::{Hnsw, HnswConfig};
 use rabitq_kmeans::KMeansConfig;
+use rabitq_math::topk::TopK;
 use rabitq_math::vecs;
 use rand::Rng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Configuration of a [`GraphRabitq`] index.
 #[derive(Clone, Copy, Debug)]
@@ -67,39 +66,11 @@ pub struct GraphSearchResult {
     pub n_reranked: usize,
 }
 
-/// Max-heap entry ordered by distance (worst on top).
-#[derive(PartialEq)]
-struct Candidate(f32, u32);
-
-impl Eq for Candidate {}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .total_cmp(&other.0)
-            .then_with(|| self.1.cmp(&other.1))
-    }
-}
-
 /// A query prepared for the graph index: one [`QuantizedQuery`] per
 /// normalization centroid, all derived from a single rotation of the raw
 /// query (the rotate-once/shift-per-centroid fast path).
-pub struct PreparedGraphQuery {
-    pub(crate) per_centroid: Vec<QuantizedQuery>,
-}
-
-impl PreparedGraphQuery {
-    /// The quantized query residualized against centroid `c`.
-    #[inline]
-    pub fn for_centroid(&self, c: usize) -> &QuantizedQuery {
-        &self.per_centroid[c]
-    }
+pub(crate) struct PreparedGraphQuery {
+    per_centroid: Vec<QuantizedQuery>,
 }
 
 /// An HNSW graph searched through RaBitQ codes.
@@ -232,9 +203,12 @@ impl GraphRabitq {
 
     /// Rotates the raw query once, then residualizes and quantizes it
     /// against every centroid (Algorithm 2, lines 1–2, shifted per
-    /// centroid). Exposed for callers that amortize one preparation over
-    /// several searches or inspect per-vertex estimates.
-    pub fn prepare_query<R: Rng + ?Sized>(&self, query: &[f32], rng: &mut R) -> PreparedGraphQuery {
+    /// centroid).
+    pub(crate) fn prepare_query<R: Rng + ?Sized>(
+        &self,
+        query: &[f32],
+        rng: &mut R,
+    ) -> PreparedGraphQuery {
         assert_eq!(query.len(), self.dim(), "query dimensionality");
         let rotated = self.quantizer.rotate(query);
         let padded = self.quantizer.padded_dim();
@@ -254,7 +228,7 @@ impl GraphRabitq {
     /// The estimated squared distance from a prepared query to vertex
     /// `id`, straight from its 1-bit code.
     #[inline]
-    pub fn estimate(
+    pub(crate) fn estimate(
         &self,
         prepared: &PreparedGraphQuery,
         id: u32,
@@ -278,54 +252,29 @@ impl GraphRabitq {
             return GraphSearchResult::default();
         }
         let prepared = self.prepare_query(query, rng);
-        self.search_prepared(query, &prepared, k, ef_search)
-    }
 
-    /// [`GraphRabitq::search`] with an already-prepared query. `query` is
-    /// still needed for the exact re-ranking distances.
-    pub fn search_prepared(
-        &self,
-        query: &[f32],
-        prepared: &PreparedGraphQuery,
-        k: usize,
-        ef_search: usize,
-    ) -> GraphSearchResult {
-        if self.is_empty() || k == 0 {
-            return GraphSearchResult::default();
-        }
+        // Greedy descent through the upper layers and the base-layer beam
+        // search, both on estimated distances. The candidate pool is
+        // *every vertex the beam estimated*, not only the `ef` survivors:
+        // 1-bit estimates are too noisy to rank the beam reliably (the
+        // paper's Figure 10 point), but the pool is already paid for — the
+        // bound decides what is worth re-ranking.
         let mut n_estimated = 0usize;
-        let est = |id: u32, n: &mut usize| {
-            *n += 1;
-            self.estimate(prepared, id)
-        };
-
-        // Greedy descent through the upper layers on estimated distances.
-        let mut ep = self.graph.entry_point().expect("non-empty graph");
-        let mut ep_d = est(ep, &mut n_estimated).dist_sq;
-        for layer in (1..=self.graph.top_layer()).rev() {
-            loop {
-                let mut improved = false;
-                for &nbr in self.graph.neighbors(ep, layer) {
-                    let d = est(nbr, &mut n_estimated).dist_sq;
-                    if d < ep_d {
-                        ep = nbr;
-                        ep_d = d;
-                        improved = true;
-                    }
-                }
-                if !improved {
-                    break;
-                }
-            }
-        }
-
-        // Base-layer beam search on estimated distances. The candidate
-        // pool is *every vertex the traversal estimated*, not only the
-        // `ef` beam survivors: 1-bit estimates are too noisy to rank the
-        // beam reliably (the paper's Figure 10 point), but the pool is
-        // already paid for — the bound decides what is worth re-ranking.
+        let entry = self.graph.descend(0, |id| {
+            n_estimated += 1;
+            self.estimate(&prepared, id).dist_sq
+        });
         let ef = ef_search.max(k);
-        let candidates = self.beam_search(ep, ep_d, ef, prepared, &mut n_estimated);
+        let e = self.estimate(&prepared, entry.0);
+        let mut candidates = Vec::with_capacity(4 * ef);
+        candidates.push((entry.0, e.dist_sq, e.lower_bound));
+        self.graph.search_layer_by(entry, ef, 0, |id| {
+            n_estimated += 1;
+            let e = self.estimate(&prepared, id);
+            candidates.push((id, e.dist_sq, e.lower_bound));
+            e.dist_sq
+        });
+        candidates.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
 
         // Re-ranking.
         let mut result = GraphSearchResult {
@@ -353,98 +302,18 @@ impl GraphRabitq {
                 // Section 4: candidates arrive in ascending estimate order;
                 // skip any whose lower bound cannot beat the K-th best
                 // exact distance found so far.
-                let mut top: BinaryHeap<Candidate> = BinaryHeap::with_capacity(k + 1);
+                let mut top = TopK::new(k);
                 for &(id, _, lb) in &candidates {
-                    let threshold = if top.len() < k {
-                        f32::INFINITY
-                    } else {
-                        top.peek().map_or(f32::INFINITY, |c| c.0)
-                    };
-                    if lb > threshold {
+                    if lb > top.threshold() {
                         continue;
                     }
-                    let d = vecs::l2_sq(self.graph.vector(id), query);
                     result.n_reranked += 1;
-                    if top.len() < k {
-                        top.push(Candidate(d, id));
-                    } else if d < threshold {
-                        top.push(Candidate(d, id));
-                        top.pop();
-                    }
+                    top.push(id, vecs::l2_sq(self.graph.vector(id), query));
                 }
-                let mut exact: Vec<(u32, f32)> =
-                    top.into_iter().map(|Candidate(d, id)| (id, d)).collect();
-                exact.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-                result.neighbors = exact;
+                result.neighbors = top.into_sorted();
             }
         }
         result
-    }
-
-    /// Exact-distance HNSW search over the same graph — the baseline the
-    /// quantized traversal is compared against.
-    pub fn search_exact(&self, query: &[f32], k: usize, ef_search: usize) -> Vec<(u32, f32)> {
-        self.graph.search(query, k, ef_search)
-    }
-
-    /// Best-first beam search on the base layer ranked by estimates.
-    /// The beam (`ef` current bests) steers expansion; the return value
-    /// is the **entire visited pool** `(id, estimate, lower_bound)`,
-    /// ascending by estimate — every vertex here already paid its
-    /// bit-kernel evaluation, so handing all of them to the bound-gated
-    /// re-ranker costs nothing extra and recovers the neighbors the noisy
-    /// beam misranked.
-    fn beam_search(
-        &self,
-        entry: u32,
-        entry_dist: f32,
-        ef: usize,
-        prepared: &PreparedGraphQuery,
-        n_estimated: &mut usize,
-    ) -> Vec<(u32, f32, f32)> {
-        let n = self.len();
-        let mut visited = vec![0u64; n.div_ceil(64)];
-        let mark = |set: &mut Vec<u64>, id: u32| {
-            let (w, b) = (id as usize / 64, id as usize % 64);
-            let seen = set[w] >> b & 1 == 1;
-            set[w] |= 1 << b;
-            seen
-        };
-
-        let mut frontier: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
-        let mut best: BinaryHeap<Candidate> = BinaryHeap::new();
-        let mut pool: Vec<(u32, f32, f32)> = Vec::with_capacity(4 * ef);
-        mark(&mut visited, entry);
-        let e = self.estimate(prepared, entry);
-        debug_assert!((e.dist_sq - entry_dist).abs() <= f32::EPSILON.max(entry_dist * 1e-6));
-        pool.push((entry, e.dist_sq, e.lower_bound));
-        frontier.push(Reverse(Candidate(e.dist_sq, entry)));
-        best.push(Candidate(e.dist_sq, entry));
-
-        while let Some(Reverse(Candidate(d, node))) = frontier.pop() {
-            let worst = best.peek().map_or(f32::INFINITY, |c| c.0);
-            if d > worst && best.len() >= ef {
-                break;
-            }
-            for &nbr in self.graph.neighbors(node, 0) {
-                if mark(&mut visited, nbr) {
-                    continue;
-                }
-                *n_estimated += 1;
-                let e = self.estimate(prepared, nbr);
-                pool.push((nbr, e.dist_sq, e.lower_bound));
-                let worst = best.peek().map_or(f32::INFINITY, |c| c.0);
-                if best.len() < ef || e.dist_sq < worst {
-                    frontier.push(Reverse(Candidate(e.dist_sq, nbr)));
-                    best.push(Candidate(e.dist_sq, nbr));
-                    if best.len() > ef {
-                        best.pop();
-                    }
-                }
-            }
-        }
-        pool.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        pool
     }
 }
 
@@ -602,11 +471,23 @@ mod tests {
             ..GraphRabitqConfig::default()
         };
         let index = GraphRabitq::build(&data, dim, cfg);
-        let mut rng = StdRng::seed_from_u64(11);
         let query = gaussian_data(1, dim, 12);
-        let result = index.search(&query, 5, 64, &mut rng);
+        let result = index.search(&query, 5, 64, &mut StdRng::seed_from_u64(11));
         assert_eq!(result.n_reranked, 0);
         assert_eq!(result.neighbors.len(), 5);
+        // The walk's closure fills the candidate pool with the estimates of
+        // the one prepared query: prepared again from the same seed, each
+        // returned distance is that estimate, bit for bit.
+        let prepared = index.prepare_query(&query, &mut StdRng::seed_from_u64(11));
+        for &(id, d) in &result.neighbors {
+            let want = index.estimate(&prepared, id).dist_sq;
+            assert_eq!(d.to_bits(), want.to_bits(), "id {id}");
+        }
+        assert!(result.neighbors.windows(2).all(|w| w[0]
+            .1
+            .total_cmp(&w[1].1)
+            .then(w[0].0.cmp(&w[1].0))
+            .is_lt()));
     }
 
     #[test]
@@ -701,7 +582,7 @@ mod tests {
         let prepared = index.prepare_query(&query, &mut rng);
         for id in [0u32, 13, 99] {
             let via_index = index.estimate(&prepared, id);
-            let q = prepared.for_centroid(index.assignments[id as usize] as usize);
+            let q = &prepared.per_centroid[index.assignments[id as usize] as usize];
             let via_quantizer = index.quantizer().estimate(q, &index.codes, id as usize);
             assert_eq!(via_index, via_quantizer);
         }

@@ -22,13 +22,18 @@
 //!    scalar-quantized **once** (Algorithm 2, lines 1–2).
 //! 2. Greedy descent through the upper HNSW layers and the base-layer beam
 //!    search both rank vertices by the unbiased estimator `⟨ō,q⟩/⟨ō,o⟩`.
+//!    They are `rabitq-hnsw`'s own walk (`Hnsw::descend` and
+//!    `Hnsw::search_layer_by`), the one that exact HNSW search and graph
+//!    construction run, called with the estimate as its distance.
 //! 3. Every vertex the traversal estimated — not just the `ef` beam
 //!    survivors, whose ordering 1-bit estimates cannot be trusted to get
 //!    right — is a re-rank candidate under the Section 4 rule: a
 //!    candidate is skipped iff its distance *lower bound* exceeds the
 //!    current K-th best exact distance. No tuning parameter, unlike
 //!    PQ-style fixed re-rank depths, and the bound keeps the exact
-//!    computations to a small fraction of the visited set.
+//!    computations to a small fraction of the visited set. The exact
+//!    answers are kept in `rabitq_math::topk::TopK`, the same bounded heap
+//!    the IVF re-rank uses.
 //!
 //! ```
 //! use rabitq_graph::{GraphRabitq, GraphRabitqConfig};
@@ -49,6 +54,4 @@
 mod index;
 mod persist;
 
-pub use index::{
-    GraphRabitq, GraphRabitqConfig, GraphRerank, GraphSearchResult, PreparedGraphQuery,
-};
+pub use index::{GraphRabitq, GraphRabitqConfig, GraphRerank, GraphSearchResult};

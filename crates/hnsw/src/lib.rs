@@ -7,10 +7,16 @@
 //! within a layer (Alg. 2), and the *heuristic* neighbor selection with
 //! pruning (Alg. 4), which is what hnswlib ships.
 //!
+//! The walk is public and generic over the distance it ranks by:
+//! [`Hnsw::descend`] and [`Hnsw::search_layer_by`] run [`Hnsw::search`]
+//! and [`Hnsw::insert`] on exact distances, and `rabitq-graph`'s search on
+//! RaBitQ estimates over the same graph.
+//!
 //! Parameters mirror the paper's setup: `M = 16` (so the base layer allows
 //! 32 out-edges — "maximum out-degree 32, M_HNSW = 16"), and
 //! `efConstruction = 500`; `efSearch` sweeps the QPS–recall trade-off.
 
+use rabitq_math::topk::{HeapEntry, TopK};
 use rabitq_math::vecs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,26 +42,6 @@ impl Default for HnswConfig {
             ef_construction: 500,
             seed: 0x4452,
         }
-    }
-}
-
-/// Ordered pair for the max-heap of current bests.
-#[derive(PartialEq)]
-struct Candidate(f32, u32);
-
-impl Eq for Candidate {}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .total_cmp(&other.0)
-            .then_with(|| self.1.cmp(&other.1))
     }
 }
 
@@ -148,32 +134,13 @@ impl Hnsw {
     }
 
     /// The out-neighbors of `id` on `layer` (empty if the node does not
-    /// exist on that layer). Exposed so quantized traversals
-    /// (`rabitq-graph`) can walk the graph with their own distance
-    /// function.
+    /// exist on that layer).
     #[inline]
-    pub fn neighbors(&self, id: u32, layer: usize) -> &[u32] {
+    fn neighbors(&self, id: u32, layer: usize) -> &[u32] {
         self.nodes[id as usize]
             .neighbors
             .get(layer)
             .map_or(&[], |l| l.as_slice())
-    }
-
-    /// The current entry point of the layer hierarchy, or `None` while
-    /// the index is empty.
-    #[inline]
-    pub fn entry_point(&self) -> Option<u32> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.entry)
-        }
-    }
-
-    /// The highest layer any node exists on.
-    #[inline]
-    pub fn top_layer(&self) -> usize {
-        self.max_level
     }
 
     #[inline]
@@ -204,23 +171,23 @@ impl Hnsw {
             return id;
         }
 
-        let mut ep = self.entry;
         // Greedy descent through layers above the node's level.
         let top = self.max_level;
-        for layer in ((level + 1)..=top).rev() {
-            ep = self.greedy_closest(vector, ep, layer);
-        }
+        let mut entry = self.descend(level, |nbr| self.distance(nbr, vector));
         // Beam search + heuristic linking from min(level, top) down to 0.
         for layer in (0..=level.min(top)).rev() {
-            let candidates = self.search_layer(vector, &[ep], self.config.ef_construction, layer);
+            let candidates =
+                self.search_layer_by(entry, self.config.ef_construction, layer, |nbr| {
+                    self.distance(nbr, vector)
+                });
             let selected = self.select_heuristic(&candidates, self.max_degree(layer));
             for &(nbr, _) in &selected {
                 self.nodes[id as usize].neighbors[layer].push(nbr);
                 self.nodes[nbr as usize].neighbors[layer].push(id);
                 self.shrink_if_needed(nbr, layer);
             }
-            if let Some(&(closest, _)) = selected.first() {
-                ep = closest;
+            if let Some(&closest) = selected.first() {
+                entry = closest;
             }
         }
         if level > self.max_level {
@@ -238,12 +205,9 @@ impl Hnsw {
         if self.is_empty() || k == 0 {
             return Vec::new();
         }
-        let mut ep = self.entry;
-        for layer in (1..=self.max_level).rev() {
-            ep = self.greedy_closest(query, ep, layer);
-        }
-        let ef = ef_search.max(k);
-        let mut found = self.search_layer(query, &[ep], ef, 0);
+        let dist = |id| self.distance(id, query);
+        let entry = self.descend(0, dist);
+        let mut found = self.search_layer_by(entry, ef_search.max(k), 0, dist);
         found.truncate(k);
         found
     }
@@ -254,80 +218,78 @@ impl Hnsw {
         (-u.ln() * self.level_mult) as usize
     }
 
-    /// Greedy walk to the locally closest node on `layer` (Alg. 2, ef = 1).
-    fn greedy_closest(&self, query: &[f32], start: u32, layer: usize) -> u32 {
-        let mut cur = start;
-        let mut cur_d = self.distance(cur, query);
-        loop {
-            let mut improved = false;
-            if let Some(nbrs) = self.nodes[cur as usize].neighbors.get(layer) {
-                for &nbr in nbrs {
-                    let d = self.distance(nbr, query);
+    /// Greedy descent (Alg. 2 with `ef = 1`) from the entry point through
+    /// every layer above `floor`, ranking nodes by `dist`. Returns the node
+    /// it stops at with its distance: the entry for a search on `floor`.
+    /// `dist` runs once for the entry point and once per neighbor scanned.
+    ///
+    /// # Panics
+    /// Panics if the index is empty.
+    pub fn descend<F: FnMut(u32) -> f32>(&self, floor: usize, mut dist: F) -> (u32, f32) {
+        assert!(!self.is_empty(), "descent needs a non-empty graph");
+        let mut cur = self.entry;
+        let mut cur_d = dist(cur);
+        for layer in (floor + 1..=self.max_level).rev() {
+            loop {
+                let mut improved = false;
+                for &nbr in self.neighbors(cur, layer) {
+                    let d = dist(nbr);
                     if d < cur_d {
                         cur = nbr;
                         cur_d = d;
                         improved = true;
                     }
                 }
-            }
-            if !improved {
-                return cur;
-            }
-        }
-    }
-
-    /// Best-first beam search on one layer (Alg. 2). Returns up to `ef`
-    /// closest nodes, ascending by distance.
-    fn search_layer(
-        &self,
-        query: &[f32],
-        entry_points: &[u32],
-        ef: usize,
-        layer: usize,
-    ) -> Vec<(u32, f32)> {
-        let mut visited = vec![0u64; self.nodes.len().div_ceil(64)];
-        let mark = |set: &mut Vec<u64>, id: u32| {
-            let (w, b) = (id as usize / 64, id as usize % 64);
-            let seen = set[w] >> b & 1 == 1;
-            set[w] |= 1 << b;
-            seen
-        };
-        // `frontier` pops nearest-first; `best` keeps the ef current bests
-        // with the farthest on top.
-        let mut frontier: BinaryHeap<Reverse<Candidate>> = BinaryHeap::new();
-        let mut best: BinaryHeap<Candidate> = BinaryHeap::new();
-        for &ep in entry_points {
-            if !mark(&mut visited, ep) {
-                let d = self.distance(ep, query);
-                frontier.push(Reverse(Candidate(d, ep)));
-                best.push(Candidate(d, ep));
-            }
-        }
-        while let Some(Reverse(Candidate(d, node))) = frontier.pop() {
-            let worst = best.peek().map_or(f32::INFINITY, |c| c.0);
-            if d > worst && best.len() >= ef {
-                break;
-            }
-            if let Some(nbrs) = self.nodes[node as usize].neighbors.get(layer) {
-                for &nbr in nbrs {
-                    if mark(&mut visited, nbr) {
-                        continue;
-                    }
-                    let dn = self.distance(nbr, query);
-                    let worst = best.peek().map_or(f32::INFINITY, |c| c.0);
-                    if best.len() < ef || dn < worst {
-                        frontier.push(Reverse(Candidate(dn, nbr)));
-                        best.push(Candidate(dn, nbr));
-                        if best.len() > ef {
-                            best.pop();
-                        }
-                    }
+                if !improved {
+                    break;
                 }
             }
         }
-        let mut out: Vec<(u32, f32)> = best.into_iter().map(|Candidate(d, id)| (id, d)).collect();
-        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        out
+        (cur, cur_d)
+    }
+
+    /// Best-first beam search on `layer` (Alg. 2) from `entry`, a node with
+    /// its distance already computed, ranking nodes by `dist`. Returns up
+    /// to `ef` closest nodes ascending by `(distance, id)`; `ef = 0` walks
+    /// as `ef = 1`. `dist` runs once per node first reached, never for
+    /// `entry`.
+    pub fn search_layer_by<F: FnMut(u32) -> f32>(
+        &self,
+        entry: (u32, f32),
+        ef: usize,
+        layer: usize,
+        mut dist: F,
+    ) -> Vec<(u32, f32)> {
+        let ef = ef.max(1);
+        let mut visited = vec![0u64; self.nodes.len().div_ceil(64)];
+        let mut mark = |id: u32| {
+            let (w, b) = (id as usize / 64, id as usize % 64);
+            let seen = visited[w] >> b & 1 == 1;
+            visited[w] |= 1 << b;
+            seen
+        };
+        // `frontier` pops nearest-first; `best` keeps the ef current bests.
+        let (ep, ep_d) = entry;
+        mark(ep);
+        let mut frontier = BinaryHeap::from([Reverse(HeapEntry(ep_d, ep))]);
+        let mut best = TopK::new(ef);
+        best.push(ep, ep_d);
+        while let Some(Reverse(HeapEntry(d, node))) = frontier.pop() {
+            if d > best.threshold() {
+                break;
+            }
+            for &nbr in self.neighbors(node, layer) {
+                if mark(nbr) {
+                    continue;
+                }
+                let dn = dist(nbr);
+                if best.len() < ef || dn < best.threshold() {
+                    frontier.push(Reverse(HeapEntry(dn, nbr)));
+                    best.push(nbr, dn);
+                }
+            }
+        }
+        best.into_sorted()
     }
 
     /// Heuristic neighbor selection (Alg. 4): keep a candidate only if it

@@ -8,8 +8,9 @@
 //!
 //! This crate is part of the engine: the collection engine and the server
 //! build on it. The PQ/OPQ baseline index (`IvfPq`) lives in `rabitq-pq`,
-//! which depends on this crate for [`IvfConfig`], [`SearchResult`] and
-//! [`TopK`], never the reverse.
+//! which depends on this crate for [`IvfConfig`] and [`SearchResult`],
+//! never the reverse. The bounded top-K heap every search keeps its
+//! answer in is `rabitq_math::topk::TopK`.
 
 pub mod cancel;
 pub mod common;
@@ -17,6 +18,6 @@ pub mod mips;
 pub mod rabitq_ivf;
 
 pub use cancel::CancelToken;
-pub use common::{IvfConfig, RerankStrategy, SearchResult, TopK};
+pub use common::{IvfConfig, RerankStrategy, SearchResult};
 pub use mips::{FlatMips, MipsResult};
 pub use rabitq_ivf::{IvfRabitq, SearchScratch};

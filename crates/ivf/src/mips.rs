@@ -10,9 +10,9 @@
 //! iff its inner-product **upper** bound cannot beat the current K-th best
 //! exact inner product.
 
-use crate::common::TopK;
 use rabitq_core::similarity::{self, IpQueryTerms};
 use rabitq_core::{CodeSet, PackedCodes, Rabitq, RabitqConfig};
+use rabitq_math::topk::TopK;
 use rabitq_math::vecs;
 use rand::Rng;
 

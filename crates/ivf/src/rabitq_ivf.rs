@@ -33,9 +33,10 @@
 //! the rest.
 
 use crate::cancel::CancelToken;
-use crate::common::{IvfConfig, RerankStrategy, SearchResult, TopK};
+use crate::common::{IvfConfig, RerankStrategy, SearchResult};
 use rabitq_core::{CodeSet, DistanceEstimate, PackedCodes, QueryScratch, Rabitq, RabitqConfig};
 use rabitq_kmeans::{train as kmeans_train, KMeans, KMeansConfig};
+use rabitq_math::topk::TopK;
 use rabitq_math::{pool, vecs};
 use rabitq_metrics::{Stage, StageNanos};
 use rand::Rng;

@@ -1,52 +1,14 @@
-//! Property-based tests for the IVF layer: the bounded top-K heap against
-//! a sort-based reference, and search invariants over random workloads.
+//! Property-based tests for the IVF layer: search invariants over random
+//! workloads.
 
 use proptest::prelude::*;
 use rabitq_core::RabitqConfig;
-use rabitq_ivf::{IvfConfig, IvfRabitq, TopK};
+use rabitq_ivf::{IvfConfig, IvfRabitq};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn topk_matches_sort_reference(
-        entries in proptest::collection::vec((0u32..1000, 0.0f32..100.0), 0..200),
-        k in 1usize..20,
-    ) {
-        let mut heap = TopK::new(k);
-        for &(id, d) in &entries {
-            heap.push(id, d);
-        }
-        let got = heap.into_sorted();
-
-        let mut reference = entries.clone();
-        reference.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        reference.truncate(k);
-        // Distances must match exactly; ids may differ among ties.
-        let got_d: Vec<f32> = got.iter().map(|&(_, d)| d).collect();
-        let ref_d: Vec<f32> = reference.iter().map(|&(_, d)| d).collect();
-        prop_assert_eq!(got_d, ref_d);
-    }
-
-    #[test]
-    fn threshold_never_decreases_below_true_kth(
-        entries in proptest::collection::vec(0.0f32..100.0, 1..100),
-        k in 1usize..10,
-    ) {
-        let mut heap = TopK::new(k);
-        for (i, &d) in entries.iter().enumerate() {
-            heap.push(i as u32, d);
-        }
-        let mut sorted = entries.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        if entries.len() >= k {
-            prop_assert_eq!(heap.threshold(), sorted[k - 1]);
-        } else {
-            prop_assert_eq!(heap.threshold(), f32::INFINITY);
-        }
-    }
 
     #[test]
     fn search_returns_sorted_unique_ids(seed in 0u64..20, k in 1usize..15, nprobe in 1usize..8) {

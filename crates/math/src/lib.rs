@@ -3,7 +3,8 @@
 //! This crate deliberately implements everything the rest of the workspace
 //! needs from first principles — vector kernels (with every SIMD kernel of
 //! the workspace, fast scan included, under one dispatch in [`simd`]), the
-//! one worker pool every parallel fan-out runs on ([`pool`]), a small
+//! one worker pool every parallel fan-out runs on ([`pool`]), the one
+//! bounded top-K heap every exact answer is kept in ([`topk`]), a small
 //! row-major matrix type, orthogonalization, polar decomposition (for the OPQ Procrustes
 //! step), the fast Walsh–Hadamard transform, Gaussian sampling and the
 //! special functions used by the paper's closed-form expectations — so that
@@ -24,6 +25,7 @@ pub mod pool;
 pub mod rng;
 pub mod simd;
 pub mod special;
+pub mod topk;
 pub mod vecs;
 
 pub use matrix::Matrix;

@@ -1,8 +1,10 @@
-//! Property-based tests for the math substrate.
+//! Property-based tests for the math substrate, the bounded top-K heap
+//! among them.
 
 use proptest::prelude::*;
 use rabitq_math::hadamard::fwht;
 use rabitq_math::simd::{self, Kernel};
+use rabitq_math::topk::TopK;
 use rabitq_math::vecs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,6 +96,44 @@ proptest! {
         let l2 = vecs::norm_sq_f64(&v).sqrt();
         prop_assert!(l2 <= l1 + 1e-4);
         prop_assert!(l1 <= (v.len() as f64).sqrt() * l2 + 1e-4);
+    }
+
+    #[test]
+    fn topk_matches_sort_reference(
+        entries in proptest::collection::vec((0u32..1000, 0.0f32..100.0), 0..200),
+        k in 1usize..20,
+    ) {
+        let mut heap = TopK::new(k);
+        for &(id, d) in &entries {
+            heap.push(id, d);
+        }
+        let got = heap.into_sorted();
+
+        let mut reference = entries.clone();
+        reference.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        reference.truncate(k);
+        // Distances must match exactly; ids may differ among ties.
+        let got_d: Vec<f32> = got.iter().map(|&(_, d)| d).collect();
+        let ref_d: Vec<f32> = reference.iter().map(|&(_, d)| d).collect();
+        prop_assert_eq!(got_d, ref_d);
+    }
+
+    #[test]
+    fn threshold_never_decreases_below_true_kth(
+        entries in proptest::collection::vec(0.0f32..100.0, 1..100),
+        k in 1usize..10,
+    ) {
+        let mut heap = TopK::new(k);
+        for (i, &d) in entries.iter().enumerate() {
+            heap.push(i as u32, d);
+        }
+        let mut sorted = entries.clone();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        if entries.len() >= k {
+            prop_assert_eq!(heap.threshold(), sorted[k - 1]);
+        } else {
+            prop_assert_eq!(heap.threshold(), f32::INFINITY);
+        }
     }
 }
 

@@ -13,8 +13,9 @@
 //! across datasets (Section 5.2.3).
 
 use crate::{Opq, OpqConfig, PqCodes, PqConfig, PqPacked, ProductQuantizer, QuantizedLuts};
-use rabitq_ivf::{IvfConfig, SearchResult, TopK};
+use rabitq_ivf::{IvfConfig, SearchResult};
 use rabitq_kmeans::{train as kmeans_train, KMeans, KMeansConfig};
+use rabitq_math::topk::TopK;
 use rabitq_math::vecs;
 
 /// Which PQ flavour encodes the residuals.

@@ -53,7 +53,7 @@
 //! current snapshot (an `Arc` clone) and fans out to the memtable
 //! (exact scan) and every segment (the paper's error-bound re-ranked
 //! search); the per-source candidates — all carrying **exact** distances
-//! — k-way-merge through the same [`rabitq_ivf::TopK`] used inside the
+//! — k-way-merge through the same [`rabitq_math::topk::TopK`] used inside the
 //! IVF index. The result is contract-identical to
 //! [`rabitq_ivf::IvfRabitq::search`]: exact squared distances, ascending.
 //!

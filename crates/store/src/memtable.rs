@@ -15,7 +15,7 @@
 //! memtable half of snapshot isolation, and a frozen copy a seal can be
 //! built from without holding the writer.
 
-use rabitq_ivf::TopK;
+use rabitq_math::topk::TopK;
 use rabitq_math::vecs;
 use std::sync::Arc;
 

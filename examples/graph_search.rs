@@ -51,7 +51,8 @@ fn main() {
             let want: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
 
             let exact: Vec<u32> = index
-                .search_exact(query, k, ef)
+                .graph()
+                .search(query, k, ef)
                 .iter()
                 .map(|&(id, _)| id)
                 .collect();

@@ -54,7 +54,8 @@ fn graph_rabitq_tracks_exact_traversal() {
     for (qi, truth) in gt.iter().enumerate().take(nq) {
         let want: Vec<u32> = truth.iter().map(|&(id, _)| id).collect();
         let exact: Vec<u32> = index
-            .search_exact(ds.query(qi), k, ef)
+            .graph()
+            .search(ds.query(qi), k, ef)
             .iter()
             .map(|&(id, _)| id)
             .collect();
