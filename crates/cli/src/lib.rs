@@ -337,36 +337,42 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sw = Stopwatch::new();
-    let mut all_ids: Vec<i32> = Vec::with_capacity(nq * k);
-    let mut per_query_ids: Vec<Vec<u32>> = Vec::with_capacity(nq);
+    let mut answers: Vec<Vec<u32>> = Vec::with_capacity(nq);
     for q in queries.chunks_exact(qdim) {
         sw.start();
         let res = index.search(q, k, nprobe, &mut rng);
         sw.stop();
-        let mut ids: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
-        ids.resize(k, u32::MAX); // pad short answers deterministically
-        all_ids.extend(ids.iter().map(|&id| id as i32));
-        per_query_ids.push(ids);
+        answers.push(res.neighbors.iter().map(|&(id, _)| id).collect());
     }
     println!(
         "searched {nq} queries: k = {k}, nprobe = {nprobe}, {:.0} QPS",
         sw.per_second(nq as u64)
     );
+    report_answers(flags, answers, k)
+}
 
+/// The tail every search command shares: pads each query's answer to `k`
+/// ids with `u32::MAX`, prints recall@k against `--gt` and writes the ids
+/// to `--out` as `.ivecs`.
+fn report_answers(flags: &Flags, mut answers: Vec<Vec<u32>>, k: usize) -> Result<(), String> {
+    for ids in &mut answers {
+        ids.resize(k, u32::MAX); // pad short answers deterministically
+    }
     if let Ok(gt_path) = flags.path("gt") {
         let (gt_flat, gt_k) = io::read_ivecs(&gt_path).map_err(|e| io_err("reading gt", e))?;
         let mut recall = 0.0;
-        for (qi, ids) in per_query_ids.iter().enumerate() {
+        for (qi, ids) in answers.iter().enumerate() {
             let want: Vec<u32> = gt_flat[qi * gt_k..qi * gt_k + gt_k.min(k)]
                 .iter()
                 .map(|&v| v as u32)
                 .collect();
             recall += recall_at_k(&want, ids);
         }
-        println!("recall@{k}: {:.4}", recall / nq as f64);
+        println!("recall@{k}: {:.4}", recall / answers.len() as f64);
     }
 
     if let Ok(out) = flags.path("out") {
+        let all_ids: Vec<i32> = answers.iter().flatten().map(|&id| id as i32).collect();
         io::write_ivecs(&out, &all_ids, k).map_err(|e| io_err("writing results", e))?;
         println!("wrote neighbor ids -> {}", out.display());
     }
@@ -440,8 +446,7 @@ fn cmd_graph_search(flags: &Flags) -> Result<(), String> {
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sw = Stopwatch::new();
-    let mut all_ids: Vec<i32> = Vec::with_capacity(nq * k);
-    let mut per_query_ids: Vec<Vec<u32>> = Vec::with_capacity(nq);
+    let mut answers: Vec<Vec<u32>> = Vec::with_capacity(nq);
     let (mut est, mut rer) = (0usize, 0usize);
     for q in queries.chunks_exact(qdim) {
         sw.start();
@@ -449,10 +454,7 @@ fn cmd_graph_search(flags: &Flags) -> Result<(), String> {
         sw.stop();
         est += res.n_estimated;
         rer += res.n_reranked;
-        let mut ids: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
-        ids.resize(k, u32::MAX);
-        all_ids.extend(ids.iter().map(|&id| id as i32));
-        per_query_ids.push(ids);
+        answers.push(res.neighbors.iter().map(|&(id, _)| id).collect());
     }
     println!(
         "searched {nq} queries: k = {k}, efSearch = {ef}, {:.0} QPS, \
@@ -461,25 +463,7 @@ fn cmd_graph_search(flags: &Flags) -> Result<(), String> {
         est as f64 / nq as f64,
         rer as f64 / nq as f64
     );
-
-    if let Ok(gt_path) = flags.path("gt") {
-        let (gt_flat, gt_k) = io::read_ivecs(&gt_path).map_err(|e| io_err("reading gt", e))?;
-        let mut recall = 0.0;
-        for (qi, ids) in per_query_ids.iter().enumerate() {
-            let want: Vec<u32> = gt_flat[qi * gt_k..qi * gt_k + gt_k.min(k)]
-                .iter()
-                .map(|&v| v as u32)
-                .collect();
-            recall += recall_at_k(&want, ids);
-        }
-        println!("recall@{k}: {:.4}", recall / nq as f64);
-    }
-
-    if let Ok(out) = flags.path("out") {
-        io::write_ivecs(&out, &all_ids, k).map_err(|e| io_err("writing results", e))?;
-        println!("wrote neighbor ids -> {}", out.display());
-    }
-    Ok(())
+    report_answers(flags, answers, k)
 }
 
 fn cmd_ingest(flags: &Flags) -> Result<(), String> {
@@ -688,18 +672,9 @@ fn cmd_collection_search(flags: &Flags) -> Result<(), String> {
             .snapshot()
             .search_many(&queries, k, nprobe, ParallelOptions { threads, seed });
     sw.stop();
-    let per_query_ids: Vec<Vec<u32>> = results
-        .into_iter()
-        .map(|res| {
-            let mut ids: Vec<u32> = res.neighbors.iter().map(|&(id, _)| id).collect();
-            ids.resize(k, u32::MAX);
-            ids
-        })
-        .collect();
-    let all_ids: Vec<i32> = per_query_ids
+    let answers: Vec<Vec<u32>> = results
         .iter()
-        .flatten()
-        .map(|&id| id as i32)
+        .map(|res| res.neighbors.iter().map(|&(id, _)| id).collect())
         .collect();
     println!(
         "searched {nq} queries over {} segments + memtable ({} live): \
@@ -708,25 +683,7 @@ fn cmd_collection_search(flags: &Flags) -> Result<(), String> {
         collection.len(),
         sw.per_second(nq as u64)
     );
-
-    if let Ok(gt_path) = flags.path("gt") {
-        let (gt_flat, gt_k) = io::read_ivecs(&gt_path).map_err(|e| io_err("reading gt", e))?;
-        let mut recall = 0.0;
-        for (qi, ids) in per_query_ids.iter().enumerate() {
-            let want: Vec<u32> = gt_flat[qi * gt_k..qi * gt_k + gt_k.min(k)]
-                .iter()
-                .map(|&v| v as u32)
-                .collect();
-            recall += recall_at_k(&want, ids);
-        }
-        println!("recall@{k}: {:.4}", recall / nq as f64);
-    }
-
-    if let Ok(out) = flags.path("out") {
-        io::write_ivecs(&out, &all_ids, k).map_err(|e| io_err("writing results", e))?;
-        println!("wrote neighbor ids -> {}", out.display());
-    }
-    Ok(())
+    report_answers(flags, answers, k)
 }
 
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
