@@ -360,6 +360,14 @@ fn report_answers(flags: &Flags, mut answers: Vec<Vec<u32>>, k: usize) -> Result
     }
     if let Ok(gt_path) = flags.path("gt") {
         let (gt_flat, gt_k) = io::read_ivecs(&gt_path).map_err(|e| io_err("reading gt", e))?;
+        let gt_rows = gt_flat.len().checked_div(gt_k).unwrap_or(0);
+        if gt_rows < answers.len() {
+            return Err(format!(
+                "{} holds ground truth for {gt_rows} queries, fewer than the {} searched",
+                gt_path.display(),
+                answers.len()
+            ));
+        }
         let mut recall = 0.0;
         for (qi, ids) in answers.iter().enumerate() {
             let want: Vec<u32> = gt_flat[qi * gt_k..qi * gt_k + gt_k.min(k)]
@@ -863,6 +871,25 @@ mod tests {
         ]))
         .unwrap();
         run(&args(&["info", "--index", index.to_str().unwrap()])).unwrap();
+
+        // A ground-truth file with fewer rows than queries is an error,
+        // not an out-of-range slice.
+        let short_gt = dir.join("short_gt.ivecs");
+        let (gt_ids, gk) = io::read_ivecs(&gt).unwrap();
+        io::write_ivecs(&short_gt, &gt_ids[..4 * gk], gk).unwrap();
+        let err = run(&args(&[
+            "search",
+            "--index",
+            index.to_str().unwrap(),
+            "--queries",
+            queries.to_str().unwrap(),
+            "--k",
+            "10",
+            "--gt",
+            short_gt.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("ground truth for 4 queries"), "{err}");
 
         // `build` takes the library's rotator; `--dense` is the opt-out,
         // recorded in the index file (and searchable like any other).
